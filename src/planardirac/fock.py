@@ -33,9 +33,9 @@ from .planewave import (
     build_u,
     build_v,
 )
+from .reporting import Check, bound_check
 
 M_MAX = 6
-DENSE_MODE_LIMIT = 4  # dense matrices up to 4^4 = 256; sparse beyond
 
 ELECTRON = "electron"
 POSITRON = "positron"
@@ -116,7 +116,7 @@ def default_symmetric_modes(n_modes: int, box_side: float = 2.0 * np.pi,
 
 @dataclass
 class FockOperator:
-    """Square operator matrix (dense or sparse) tied to its FockSpace.
+    """Square CSR operator matrix tied to its FockSpace.
 
     Operators from different spaces refuse to combine; this catches mixed-up
     mode orderings before they silently corrupt a sign string.
@@ -153,19 +153,13 @@ class FockOperator:
         return FockOperator(self.matrix @ other.matrix, self.space)
 
     def dagger(self) -> "FockOperator":
-        return FockOperator(self.matrix.conj().T, self.space)
+        return FockOperator(self.matrix.conj().T.tocsr(), self.space)
 
     def to_dense(self) -> np.ndarray:
-        if sparse.issparse(self.matrix):
-            return self.matrix.toarray()
-        return np.asarray(self.matrix)
+        return self.matrix.toarray()
 
     def max_abs(self) -> float:
-        if sparse.issparse(self.matrix):
-            if self.matrix.nnz == 0:
-                return 0.0
-            return float(np.abs(self.matrix.data).max())
-        return float(np.abs(self.matrix).max()) if self.matrix.size else 0.0
+        return float(np.abs(self.matrix.data).max(initial=0.0))
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.matrix @ vec
@@ -174,9 +168,11 @@ class FockOperator:
         return complex(np.vdot(vec, self.matrix @ vec))
 
     def diagonal(self) -> np.ndarray:
-        if sparse.issparse(self.matrix):
-            return self.matrix.diagonal()
-        return np.diag(self.matrix)
+        return self.matrix.diagonal()
+
+    def off_diagonal(self) -> "FockOperator":
+        """This operator minus its diagonal part in the occupation basis."""
+        return self - FockOperator(sparse.diags(self.diagonal(), format="csr"), self.space)
 
     def trace(self) -> complex:
         return complex(self.diagonal().sum())
@@ -202,11 +198,9 @@ _ZSTR = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
 
 
-def _jordan_wigner_lowering(position: int, n_positions: int, dense: bool):
-    """sigma_z**position (x) lower (x) identity**rest, dense or CSR."""
+def _jordan_wigner_lowering(position: int, n_positions: int):
+    """sigma_z**position (x) lower (x) identity**rest as a CSR matrix."""
     factors = [_ZSTR] * position + [_LOWER] + [_I2] * (n_positions - position - 1)
-    if dense:
-        return reduce(np.kron, factors)
     return reduce(lambda a, b: sparse.kron(a, b, format="csr"),
                   [sparse.csr_matrix(f) for f in factors])
 
@@ -217,6 +211,8 @@ class FockSpace:
     Jordan-Wigner chain positions: electron mode i sits at position i,
     positron mode i at position M + i.  Basis index bit significance follows
     chain order, position 0 most significant, so the vacuum is index 0.
+    Operators are sparse at every M, the usual storage for Jordan-Wigner
+    operators (OpenFermion, McClean et al., arXiv:1710.07629).
     """
 
     def __init__(self, modes: ModeSet):
@@ -227,10 +223,8 @@ class FockSpace:
         self.n_modes = n
         self.n_positions = 2 * n
         self.dim = 4**n
-        self.dense = n <= DENSE_MODE_LIMIT
         self._lowering = [
-            _jordan_wigner_lowering(j, self.n_positions, self.dense)
-            for j in range(self.n_positions)
+            _jordan_wigner_lowering(j, self.n_positions) for j in range(self.n_positions)
         ]
 
     @property
@@ -254,14 +248,10 @@ class FockSpace:
         return self.creation(species, index) @ self.annihilation(species, index)
 
     def identity(self) -> FockOperator:
-        mat = np.eye(self.dim, dtype=complex) if self.dense else sparse.identity(
-            self.dim, dtype=complex, format="csr")
-        return FockOperator(mat, self)
+        return FockOperator(sparse.identity(self.dim, dtype=complex, format="csr"), self)
 
     def zero(self) -> FockOperator:
-        mat = np.zeros((self.dim, self.dim), dtype=complex) if self.dense else \
-            sparse.csr_matrix((self.dim, self.dim), dtype=complex)
-        return FockOperator(mat, self)
+        return FockOperator(sparse.csr_matrix((self.dim, self.dim), dtype=complex), self)
 
     def vacuum(self) -> np.ndarray:
         state = np.zeros(self.dim, dtype=complex)
@@ -298,30 +288,7 @@ def build_space(modes: ModeSet) -> FockSpace:
     return FockSpace(modes)
 
 
-@dataclass
-class CheckRecord:
-    """One verified identity: its worst deviation against an explicit tolerance."""
-
-    name: str
-    max_deviation: float
-    dimension: int
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_deviation <= self.tolerance
-
-    def to_dict(self) -> dict:
-        return {
-            "check": self.name,
-            "max_deviation": self.max_deviation,
-            "dimension": self.dimension,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-        }
-
-
-def verify_ccr(space: FockSpace, tol: float = 1e-14) -> list[CheckRecord]:
+def verify_ccr(space: FockSpace, tol: float = 1e-14) -> list[Check]:
     """Check every anti-commutator family of the mode operators.
 
     Same-species and cross-species anti-commutators of annihilators (and of
@@ -342,7 +309,7 @@ def verify_ccr(space: FockSpace, tol: float = 1e-14) -> list[CheckRecord]:
     records = []
 
     def add(name, deviations):
-        records.append(CheckRecord(name, worst(deviations), space.dim, tol))
+        records.append(bound_check(name, worst(deviations), tol, dimension=space.dim))
 
     add("{b,b} = 0", [anticommutator(b[i], b[j]).max_abs() for i in range(n) for j in range(i, n)])
     add("{d,d} = 0", [anticommutator(d[i], d[j]).max_abs() for i in range(n) for j in range(i, n)])
@@ -391,15 +358,13 @@ def normal_ordered_hamiltonian(space: FockSpace) -> FockOperator:
 
 def occupation_spectrum(space: FockSpace) -> np.ndarray:
     """Energies of H' enumerated from occupation numbers, in basis order."""
-    hbar = space.params.hbar
-    omegas = [space.modes.omega(i) for i in range(space.n_modes)]
-    energies = np.empty(space.dim)
-    for index in range(space.dim):
-        elec, pos = space.occupations(index)
-        energies[index] = hbar * sum(
-            w * (ne + np_) for w, ne, np_ in zip(omegas, elec, pos)
-        )
-    return energies
+    n = space.n_modes
+    shifts = space.n_positions - 1 - np.arange(space.n_positions)
+    bits = (np.arange(space.dim)[:, None] >> shifts) & 1
+    occupation = bits[:, :n] + bits[:, n:]  # electrons plus positrons, per mode
+    # Accumulated mode by mode, as H' is; a matrix product reorders the sum
+    # and moves the result by a few ulp.
+    return space.params.hbar * sum(space.modes.omega(i) * occupation[:, i] for i in range(n))
 
 
 def field_operator(space: FockSpace, r, t: float, time_derivative: bool = False):
@@ -438,13 +403,13 @@ class FieldAnticommutatorReport:
     max_plain_deviation: float    # worst entry of {Psi_a, Psi_b} (must vanish)
     max_kernel_mismatch: float    # |kernel - mode_sum_kernel| entry-wise
 
-    def to_records(self, dimension: int, tol: float = 1e-13) -> list[CheckRecord]:
+    def to_records(self, dimension: int, tol: float = 1e-13) -> list[Check]:
         return [
-            CheckRecord("{Psi,Psibar*metric} proportional to identity",
-                        self.max_scalar_deviation, dimension, tol),
-            CheckRecord("{Psi,Psi} = 0", self.max_plain_deviation, dimension, tol),
-            CheckRecord("kernel matches mode sum", self.max_kernel_mismatch,
-                        dimension, tol),
+            bound_check("{Psi,Psibar*metric} proportional to identity",
+                        self.max_scalar_deviation, tol, dimension=dimension),
+            bound_check("{Psi,Psi} = 0", self.max_plain_deviation, tol, dimension=dimension),
+            bound_check("kernel matches mode sum", self.max_kernel_mismatch, tol,
+                        dimension=dimension),
         ]
 
 
@@ -581,7 +546,7 @@ def charge_operator(space: FockSpace) -> FockOperator:
 
 
 def pair_commutator_check(space: FockSpace, index: int, index_prime: int,
-                          tol: float = 1e-14) -> list[CheckRecord]:
+                          tol: float = 1e-14) -> list[Check]:
     """Bosonic character of the pair operators, exact finite-mode form.
 
     For matched momenta the exact identity is
@@ -597,16 +562,16 @@ def pair_commutator_check(space: FockSpace, index: int, index_prime: int,
     if index == index_prime:
         partner = space.modes.partner_index(index)
         exact = space.identity() - space.number(ELECTRON, index) - space.number(POSITRON, partner)
-        records.append(CheckRecord(
+        records.append(bound_check(
             "[P,P+] = I - n_b - n_d (exact identity)",
-            (comm - exact).max_abs(), space.dim, tol))
-        records.append(CheckRecord(
+            (comm - exact).max_abs(), tol, dimension=space.dim))
+        records.append(bound_check(
             "<vac|[P,P+]|vac> = 1",
-            abs(comm.expectation(vac) - 1.0), space.dim, tol))
+            abs(comm.expectation(vac) - 1.0), tol, dimension=space.dim))
     else:
-        records.append(CheckRecord(
-            "[P(k),P+(k')] = 0 for k != k'", comm.max_abs(), space.dim, tol))
-        records.append(CheckRecord(
+        records.append(bound_check(
+            "[P(k),P+(k')] = 0 for k != k'", comm.max_abs(), tol, dimension=space.dim))
+        records.append(bound_check(
             "<vac|[P(k),P+(k')]|vac> = 0",
-            abs(comm.expectation(vac)), space.dim, tol))
+            abs(comm.expectation(vac)), tol, dimension=space.dim))
     return records

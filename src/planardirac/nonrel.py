@@ -395,6 +395,8 @@ def run_limit_comparison(k0x: float, k0y: float = 0.0, n: int = 128,
     step-count independent; this exercises the group property).
     """
     params = params or PhysicalParams()
+    if steps is not None and steps < 1:
+        raise ValueError("steps must be >= 1")
     k0 = Momentum(k0x, k0y)
     if sigma is None:
         if k0.magnitude == 0.0:
@@ -410,7 +412,7 @@ def run_limit_comparison(k0x: float, k0y: float = 0.0, n: int = 128,
     dirac_t = WaveField(grid, np.stack([scalar.data, np.zeros_like(scalar.data)]))
     schrod_t = scalar
 
-    chunks = max(1, steps or 1)
+    chunks = steps or 1
     for _ in range(chunks):
         dirac_t = evolve_dirac(dirac_t, t_final / chunks, params)
         schrod_t = evolve_schrodinger(schrod_t, t_final / chunks, params)
@@ -460,6 +462,8 @@ def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = None,
     params = params or PhysicalParams()
     if b_field <= 0:
         raise ValueError("magnetic field strength must be positive")
+    if n_levels < 1:
+        raise ValueError("n_levels must be >= 1")
     magnetic_length = np.sqrt(params.hbar / (params.e * b_field))
     h = grid.spacing
     if magnetic_length < 3.0 * h or magnetic_length > grid.length / 6.0:

@@ -71,7 +71,7 @@ class RunReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return len(self.checks) >= 1 and all(c.passed for c in self.checks)
 
     def add(self, check: Check) -> None:
         self.checks.append(check)

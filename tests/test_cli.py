@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from planardirac import cli
+from planardirac.reporting import RunReport
 
 
 def run_main(argv, capsys):
@@ -46,6 +47,22 @@ class TestExitCodes:
             ["landau", "--B", "100", "--grid", "32", "--box", "10"], capsys)
         assert code == 2
         assert "magnetic length" in err
+
+    @pytest.mark.parametrize("argv", [["landau", "--levels", "0"],
+                                      ["evolve", "--steps", "0"]])
+    def test_zero_counts_exit_two(self, argv, capsys):
+        code, _, err = run_main(argv, capsys)
+        assert code == 2
+        assert "must be >= 1" in err
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0"])
+    def test_bad_tol_scale_exits_two(self, scale, capsys):
+        code, _, err = run_main(["--tol-scale", scale, "algebra"], capsys)
+        assert code == 2
+        assert "--tol-scale" in err
+
+    def test_report_without_checks_does_not_pass(self):
+        assert RunReport("empty").passed is False
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -114,6 +131,14 @@ class TestFockReport:
         _, out, _ = run_main(["--json", "fock", "--modes", "1"], capsys)
         names = [c["name"] for c in json.loads(out)["checks"]]
         assert any("{0,1,1,2}" in n for n in names)
+
+    @pytest.mark.parametrize("n_modes", ["1", "2", "3"])
+    def test_hamiltonian_diagonal_checks(self, n_modes, capsys):
+        code, out, _ = run_main(["--json", "fock", "--modes", n_modes], capsys)
+        assert code == 0
+        by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert by_name["H' is diagonal in the occupation basis"]["measured"] == 0.0
+        assert by_name["H' diagonal = occupation enumeration (basis order)"]["passed"]
 
     def test_literal_68_flag_adds_check(self, capsys):
         _, out, _ = run_main(["--json", "fock", "--modes", "2", "--literal-68"], capsys)
