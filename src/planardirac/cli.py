@@ -1,14 +1,16 @@
 """Command-line front end: one subcommand per verification suite.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-precondition error.  Human-readable tables go to stderr; with --json a single
-JSON document (the RunReport) is printed on stdout.
+precondition error (a non-finite float flag, or inputs whose arithmetic
+overflows, count as misuse).  Human-readable tables go to stderr; with --json
+a single JSON document (the RunReport) is printed on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
 from pathlib import Path
@@ -336,6 +338,15 @@ def run_evolve(grid_n: int = 128, box: float = None, sigma: float = None,
     return report
 
 
+_INERTIA = "eigenvalues below the shift (Sylvester inertia)"
+
+
+def _inertia_check(name: str, result: dict, exact: float) -> Check:
+    if result["below_shift"] is None:
+        return failed_check(name, "SuperLU pivoted off the diagonal: inertia unknown")
+    return bound_check(name, result["below_shift"], exact)
+
+
 def run_landau(b_field: float = None, grid_n: int = 64, box: float = 20.0,
                n_levels: int = 3, tol_scale: float = 1.0) -> RunReport:
     start = time.perf_counter()
@@ -345,17 +356,20 @@ def run_landau(b_field: float = None, grid_n: int = 64, box: float = 20.0,
         b_field = params.hbar / (params.e * (box / 10.0) ** 2)
     report = RunReport("landau", {"B": b_field, "grid": grid_n, "box": box,
                                   "levels": n_levels, "tol_scale": tol_scale})
+    exact = 1e-14 * tol_scale
     grid = nonrel.Grid2D(grid_n, box)
     result = nonrel.landau_levels(b_field, grid, params, n_levels=n_levels)
     report.parameters["magnetic_length"] = result["magnetic_length"]
     report.parameters["levels"] = result["levels"]
     report.parameters["expected"] = result["expected"]
+    report.add(_inertia_check(_INERTIA, result, exact))
     for j, err in enumerate(result["relative_errors"]):
         report.add(bound_check(f"level {j} vs hbar*w_c*(n+1/2)", err, 0.02 * tol_scale))
 
     doubled_length = result["magnetic_length"] / np.sqrt(2.0)
     if doubled_length >= 3.0 * grid.spacing and n_levels >= 2:
         doubled = nonrel.landau_levels(2.0 * b_field, grid, params, n_levels=2)
+        report.add(_inertia_check(f"{_INERTIA}, B doubled", doubled, exact))
         ratio = ((doubled["levels"][1] - doubled["levels"][0])
                  / (result["levels"][1] - result["levels"][0]))
         report.add(value_check("spacing ratio when B doubles", ratio, 2.0,
@@ -418,7 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if not (np.isfinite(args.tol_scale) and args.tol_scale > 0):
+        for dest, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"--{dest.replace('_', '-')} must be finite, got {value}")
+        if args.tol_scale <= 0:
             raise ValueError(f"--tol-scale must be finite and > 0, got {args.tol_scale}")
         if args.command == "algebra":
             report = run_algebra(seed=args.seed, tol_scale=args.tol_scale)
@@ -439,6 +456,9 @@ def main(argv=None) -> int:
             raise ValueError(f"unknown command {args.command}")
     except (ValueError, nonrel.GaugeFrameError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
+        print(f"error: inputs out of floating-point range ({exc})", file=sys.stderr)
         return 2
 
     report.print_table()

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .planewave import Momentum, PhysicalParams
 
@@ -445,35 +445,17 @@ def limit_scaling_study(k0_values, n: int = 128, t_final: float = 10.0,
             "slope": slope, "halving_ratios": ratios, "runs": runs}
 
 
-def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = None,
-                  n_levels: int = 3, cluster_rel_gap: float = 2e-2,
-                  compact_radius_fraction: float = 0.25) -> dict:
-    """Lowest Landau levels of the minimally coupled Schrodinger Hamiltonian.
-
-    Assembles (1/2m)((-i hbar d_x + e Ax)^2 + (-i hbar d_y + e Ay)^2) in the
-    symmetric gauge with 5-point stencils on a Dirichlet box.  The Dirichlet
-    wall smears each degenerate level into a drift ladder of boundary-squeezed
-    states, so eigenstates are first filtered by compactness (mean radius
-    below compact_radius_fraction * L); the compact survivors bunch tightly at
-    each level and are gap-clustered.  Each level is reported at its most
-    compact member, the state least touched by the wall and the lattice.
-    Bulk levels should match hbar*w_c*(n + 1/2) with w_c = e B / m.
-    """
-    params = params or PhysicalParams()
-    if b_field <= 0:
-        raise ValueError("magnetic field strength must be positive")
-    if n_levels < 1:
-        raise ValueError("n_levels must be >= 1")
-    magnetic_length = np.sqrt(params.hbar / (params.e * b_field))
-    h = grid.spacing
-    if magnetic_length < 3.0 * h or magnetic_length > grid.length / 6.0:
-        raise GridResolutionError(
-            f"magnetic length {magnetic_length:.4g} outside "
-            f"[3h = {3 * h:.4g}, L/6 = {grid.length / 6:.4g}]"
-        )
-    n = grid.n
+def _cell_centers(grid: Grid2D) -> np.ndarray:
     # Cell-centered coordinates keep the symmetric gauge centered on the box.
-    x = (np.arange(n) + 0.5) * h - grid.length / 2.0
+    return (np.arange(grid.n) + 0.5) * grid.spacing - grid.length / 2.0
+
+
+def _landau_hamiltonian(b_field: float, grid: Grid2D,
+                        params: PhysicalParams) -> sparse.csr_matrix:
+    """(1/2m)(P + eA)^2 in the symmetric gauge, 5-point stencils, Dirichlet box."""
+    n = grid.n
+    h = grid.spacing
+    x = _cell_centers(grid)
     eye = sparse.identity(n, format="csr")
     main = -2.0 * np.ones(n)
     off = np.ones(n - 1)
@@ -488,19 +470,77 @@ def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = None,
 
     e = params.e
     m = params.m
-    ham = (
+    return (
         (-params.hbar**2 / (2 * m)) * lap
         + (e / (2 * m)) * (px @ ax + ax @ px + py @ ay + ay @ py)
         + (e**2 / (2 * m)) * (ax @ ax + ay @ ay)
     ).tocsr()
 
+
+def _lowest_eigenpairs(ham: sparse.csr_matrix, k: int):
+    """The k eigenpairs of Hermitian ham nearest 0: its k lowest when it is
+    positive definite, which the returned below_shift == 0 proves.
+
+    Shift-invert at sigma = 0: ham is factored once and ARPACK iterates with
+    its inverse, so it converges fastest to the eigenvalues nearest 0.  Those
+    are the k lowest when no eigenvalue lies at or below 0, and the factor
+    tells whether one does: when SuperLU keeps its pivots on the diagonal (perm_r ==
+    perm_c), P ham P^T = L D L^H, and by Sylvester's law of inertia the
+    number of pivots with Re D <= 0 is the number of eigenvalues <= 0.
+    Returns (values ascending, vectors, below_shift); below_shift is that
+    count, or None when SuperLU pivoted off the diagonal and it is unknown.
+    """
+    lu = splu(ham.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options=dict(SymmetricMode=True))
+    below_shift = None
+    if np.array_equal(lu.perm_r, lu.perm_c):
+        below_shift = int(np.count_nonzero(lu.U.diagonal().real <= 0.0))
+    inverse = LinearOperator(ham.shape, matvec=lu.solve, dtype=ham.dtype)
+    values, vectors = eigsh(ham, k=k, sigma=0.0, which="LM", OPinv=inverse)
+    order = np.argsort(values)
+    return values[order], vectors[:, order], below_shift
+
+
+def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = None,
+                  n_levels: int = 3, cluster_rel_gap: float = 2e-2,
+                  compact_radius_fraction: float = 0.25) -> dict:
+    """Lowest Landau levels of the minimally coupled Schrodinger Hamiltonian.
+
+    Assembles (1/2m)((-i hbar d_x + e Ax)^2 + (-i hbar d_y + e Ay)^2) in the
+    symmetric gauge with 5-point stencils on a Dirichlet box.  The Dirichlet
+    wall smears each degenerate level into a drift ladder of boundary-squeezed
+    states, so eigenstates are first filtered by compactness (mean radius
+    below compact_radius_fraction * L); the compact survivors bunch tightly at
+    each level and are gap-clustered.  Each level is reported at its most
+    compact member, the state least touched by the wall and the lattice.
+    Bulk levels should match hbar*w_c*(n + 1/2) with w_c = e B / m.
+
+    The operator is non-negative with its lowest level at hbar*w_c/2, so the
+    eigensolve shifts and inverts at 0, below the spectrum in any units.
+    "below_shift" is the number of eigenvalues at or below that shift, read
+    off the factorization (0 proves the solve returned the lowest states; see
+    _lowest_eigenpairs), or None when the factorization cannot tell.
+    """
+    params = params or PhysicalParams()
+    if b_field <= 0:
+        raise ValueError("magnetic field strength must be positive")
+    if n_levels < 1:
+        raise ValueError("n_levels must be >= 1")
+    magnetic_length = np.sqrt(params.hbar / (params.e * b_field))
+    h = grid.spacing
+    if magnetic_length < 3.0 * h or magnetic_length > grid.length / 6.0:
+        raise GridResolutionError(
+            f"magnetic length {magnetic_length:.4g} outside "
+            f"[3h = {3 * h:.4g}, L/6 = {grid.length / 6:.4g}]"
+        )
+    n = grid.n
+    ham = _landau_hamiltonian(b_field, grid, params)
+
     degeneracy = grid.length**2 / (2.0 * np.pi * magnetic_length**2)
     k = min(int(np.ceil(n_levels * degeneracy + 3 * n_levels + 10)), n * n - 2)
-    values, vectors = eigsh(ham, k=k, which="SA")
-    order = np.argsort(values)
-    values = values[order]
-    vectors = vectors[:, order]
+    values, vectors, below_shift = _lowest_eigenpairs(ham, k)
 
+    x = _cell_centers(grid)
     grid_x, grid_y = np.meshgrid(x, x, indexing="ij")
     radius = np.sqrt(grid_x**2 + grid_y**2).ravel()
     mean_radius = radius @ (np.abs(vectors) ** 2)
@@ -540,6 +580,7 @@ def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = None,
         "magnetic_length": float(magnetic_length),
         "relative_errors": [abs(l / e0 - 1.0) for l, e0 in zip(levels, expected)],
         "cluster_sizes": cluster_sizes,
+        "below_shift": below_shift,
     }
 
 

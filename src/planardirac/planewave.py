@@ -15,6 +15,7 @@ are the primary correctness oracles for everything downstream.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,6 +145,8 @@ def normalize(s: Spinor2, branch: Branch) -> Spinor2:
     spinor.
     """
     norm = metric_inner(s, s).real
+    if not math.isfinite(norm):
+        raise FloatingPointError(f"metric norm is {norm}: the spinor amplitudes overflowed")
     if abs(norm) <= NORM_EPS:
         raise DegenerateNormalizationError(
             f"metric norm {norm:.3e} below {NORM_EPS:.0e}; cannot normalize"

@@ -1,10 +1,14 @@
 """CLI contract: subcommands, exit codes, JSON output, and report schema."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from planardirac import cli
 from planardirac.reporting import RunReport
@@ -61,6 +65,23 @@ class TestExitCodes:
         assert code == 2
         assert "--tol-scale" in err
 
+    def test_overflow_exits_two(self, capsys):
+        code, _, err = run_main(["spinor", "--kx", "1e200"], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command,flag", [
+        ("spinor", "--kx"), ("spinor", "--ky"), ("spinor", "--m"), ("spinor", "--c"),
+        ("spinor", "--hbar"), ("fock", "--box"), ("evolve", "--box"),
+        ("evolve", "--sigma"), ("evolve", "--k0x"), ("evolve", "--k0y"),
+        ("evolve", "--time"), ("landau", "--B"), ("landau", "--box"),
+    ])
+    def test_non_finite_float_flag_exits_two(self, command, flag, value, capsys):
+        code, _, err = run_main([command, f"{flag}={value}"], capsys)
+        assert code == 2
+        assert f"error: {flag} must be finite" in err
+
     def test_report_without_checks_does_not_pass(self):
         assert RunReport("empty").passed is False
 
@@ -73,6 +94,22 @@ class TestExitCodes:
         code, _, err = run_main(["spinor", "--kx", "1e13"], capsys)
         assert code == 1
         assert "degenerate" in err
+
+
+SPINOR_FLOAT_FLAGS = ("--kx", "--ky", "--m", "--c", "--hbar")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({flag: st.floats() for flag in SPINOR_FLOAT_FLAGS}))
+@example(dict.fromkeys(SPINOR_FLOAT_FLAGS, 1.0) | {"--kx": 1e200})  # overflow
+@example(dict.fromkeys(SPINOR_FLOAT_FLAGS, 1.0) | {"--m": 2.2e-311})  # omega^2 underflows to 0
+@example({"--kx": 0.0, "--ky": 3.7e46, "--m": 1.0, "--c": 5e16, "--hbar": 1e245})  # inf/inf spinor
+def test_spinor_float_flags_keep_exit_contract(values):
+    """Any float, finite or not, gives exit 0, 1 or 2 and never a traceback."""
+    argv = ["spinor"] + [f"{flag}={value!r}" for flag, value in values.items()]
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
 
 
 class TestJsonOutput:
@@ -144,6 +181,30 @@ class TestFockReport:
         _, out, _ = run_main(["--json", "fock", "--modes", "2", "--literal-68"], capsys)
         names = [c["name"] for c in json.loads(out)["checks"]]
         assert any("literal printed ordering" in n for n in names)
+
+
+class TestLandauReport:
+    def test_inertia_check_alongside_unchanged_checks(self, capsys):
+        code, out, _ = run_main(["--json", "landau", "--grid", "32"], capsys)
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        inertia = [c for c in checks if "Sylvester inertia" in c["name"]]
+        assert [c["name"] for c in inertia] == [
+            "eigenvalues below the shift (Sylvester inertia)"]
+        assert inertia[0]["measured"] == 0.0
+        assert inertia[0]["passed"]
+        others = [(c["name"], c["expected"], c["tolerance"])
+                  for c in checks if c not in inertia]
+        assert others == [(f"level {j} vs hbar*w_c*(n+1/2)", "<= 0.02", 0.02)
+                          for j in range(3)]
+
+    def test_uncertified_shift_is_failed_check(self, capsys, monkeypatch):
+        solve = cli.nonrel.landau_levels
+        monkeypatch.setattr(cli.nonrel, "landau_levels",
+                            lambda *a, **kw: solve(*a, **kw) | {"below_shift": None})
+        code, _, err = run_main(["landau", "--grid", "32"], capsys)
+        assert code == 1
+        assert "inertia unknown" in err
 
 
 class TestEvolveCommand:

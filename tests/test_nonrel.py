@@ -411,6 +411,33 @@ class TestLandauLevels:
         with pytest.raises(ValueError):
             nr.landau_levels(0.0, nr.Grid2D(32, 10.0), NATURAL)
 
+    def test_shift_invert_returns_lowest_eigenvalues(self):
+        """Grid 32 (dimension 1024): the k eigenvalues nearest the shift 0 are
+        the k lowest of the dense spectrum, and the factor certifies it."""
+        b_field, grid = 0.25, nr.Grid2D(32, 20.0)
+        ham = nr._landau_hamiltonian(b_field, grid, NATURAL)
+        k = 67  # what landau_levels requests here for three levels
+        values, _, below_shift = nr._lowest_eigenpairs(ham, k)
+        dense = np.linalg.eigvalsh(ham.toarray())
+        cyclotron_quantum = NATURAL.hbar * NATURAL.e * b_field / NATURAL.m
+        assert np.abs(values - dense[:k]).max() <= 1e-12 * cyclotron_quantum
+        assert below_shift == 0
+        assert nr.landau_levels(b_field, grid, NATURAL)["below_shift"] == 0
+
+    def test_discretization_is_second_order(self):
+        """The 5-point-stencil levels converge to hbar*w_c*(n+1/2) as h^2:
+        log-log slope of relative error vs h over grids 32/64/128 at box 20
+        and the CLI default B (magnetic length box/10)."""
+        box = 20.0
+        b_field = NATURAL.hbar / (NATURAL.e * (box / 10.0) ** 2)
+        grids = [nr.Grid2D(n, box) for n in (32, 64, 128)]
+        runs = [nr.landau_levels(b_field, grid, NATURAL) for grid in grids]
+        spacings = np.log([grid.spacing for grid in grids])
+        for level in range(3):
+            errors = np.log([run["relative_errors"][level] for run in runs])
+            slope = np.polyfit(spacings, errors, 1)[0]
+            assert slope == pytest.approx(2.0, abs=0.3), (level, slope)
+
 
 class TestSnapshots:
     def test_csv_schema(self, tmp_path):

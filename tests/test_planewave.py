@@ -128,6 +128,11 @@ class TestMetric:
         with pytest.raises(ValueError):
             pw.normalize(v, Branch.POSITIVE)
 
+    @pytest.mark.parametrize("component", [np.inf, np.nan])
+    def test_normalize_rejects_overflowed_spinor(self, component):
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+            pw.normalize(np.array([component, 1.0], dtype=complex), Branch.POSITIVE)
+
     def test_orthonormalization_sweep(self):
         """u-bar s0 u = 1, v-bar s0 v = -1, cross products vanish, to 1e-12."""
         for k in random_momenta(1000, seed=37):
