@@ -112,15 +112,23 @@ def boundary_density(f: WaveField) -> float:
     return float(edge / dens.max())
 
 
-def _spinor_weights(grid: Grid2D, params: PhysicalParams):
-    """G1 and the metric divisor sqrt(1-|G1|^2) on the full wavenumber mesh."""
+def _mode_terms(grid: Grid2D, params: PhysicalParams):
+    """Per-mode terms of H(k) on the full wavenumber mesh.
+
+    Returns p = c*hbar*(kx + i ky) and hbar*w(k) = sqrt(|p|^2 + (m c^2)^2);
+    in these terms H(k) = [[m c^2, i conj(p)], [-i p, -m c^2]].
+    """
     kx, ky = grid.wavenumbers()
-    energy = params.hbar * np.sqrt(
-        (kx**2 + ky**2) * params.c**2 + (params.rest_energy / params.hbar) ** 2
-    )
-    g1 = -1j * params.hbar * (kx + 1j * ky) * params.c / (energy + params.rest_energy)
-    divisor = np.sqrt(1.0 - np.abs(g1) ** 2)
-    return g1, divisor
+    p = params.c * params.hbar * (kx + 1j * ky)
+    energy = np.sqrt(p.real**2 + p.imag**2 + params.rest_energy**2)
+    return p, energy
+
+
+def _spinor_weights(grid: Grid2D, params: PhysicalParams):
+    """G1 = -i p / (E + m c^2) and the metric divisor sqrt(1-|G1|^2) per mode."""
+    p, energy = _mode_terms(grid, params)
+    g1 = -1j * p / (energy + params.rest_energy)
+    return g1, np.sqrt(1.0 - np.abs(g1) ** 2)
 
 
 def build_gaussian(grid: Grid2D, center, k0: Momentum, sigma: float,
@@ -152,10 +160,9 @@ def build_gaussian(grid: Grid2D, center, k0: Momentum, sigma: float,
     if components != 2:
         raise ValueError("components must be 1 or 2")
     g1, divisor = _spinor_weights(grid, params)
-    spectrum = np.fft.fft2(envelope, norm="ortho")
-    upper = np.fft.ifft2(spectrum / divisor, norm="ortho")
-    lower = np.fft.ifft2(spectrum * g1 / divisor, norm="ortho")
-    return WaveField(grid, np.stack([upper, lower])).normalized()
+    spectrum = np.fft.fft2(envelope, norm="ortho") / divisor
+    data = np.fft.ifft2(np.stack([spectrum, g1 * spectrum]), norm="ortho")
+    return WaveField(grid, data).normalized()
 
 
 def negative_branch_weight(f: WaveField, params: PhysicalParams = None) -> float:
@@ -164,8 +171,7 @@ def negative_branch_weight(f: WaveField, params: PhysicalParams = None) -> float
     if f.components != 2:
         raise ValueError("negative_branch_weight expects a 2-component field")
     g1, divisor = _spinor_weights(f.grid, params)
-    up = np.fft.fft2(f.data[0], norm="ortho")
-    low = np.fft.fft2(f.data[1], norm="ortho")
+    up, low = np.fft.fft2(f.data, norm="ortho")
     # For psi-hat = c_u u_N + c_v v_N the metric projection gives
     # v_N-bar sigma_3 psi-hat = -c_v, with v_N = (conj(G1), 1)/divisor.
     c_v = (low - g1 * up) / divisor
@@ -176,31 +182,24 @@ def negative_branch_weight(f: WaveField, params: PhysicalParams = None) -> float
 def evolve_dirac(f: WaveField, t: float, params: PhysicalParams = None) -> WaveField:
     """Advance a 2-component field by exp(-i t H(k)/hbar) mode-by-mode.
 
-    The per-mode Hamiltonian is the pure Pauli vector
-    a = (c hbar ky, -c hbar kx, m c^2) with |a| = hbar*w(k), so the propagator
-    is cos(w t) - i sin(w t) (a.sigma)/(hbar w): exactly unitary for any t.
+    H(k) is Hermitian with H(k)^2 = E^2, E = hbar*w(k), so the propagator is
+    cos(w t) - i sin(w t) H(k)/E: exactly unitary for any t.
     """
     params = params or PhysicalParams()
     if f.components != 2:
         raise ValueError("evolve_dirac expects a 2-component field")
     if f.gauge_frame:
         raise GaugeFrameError("evolve_dirac expects a lab-frame field")
-    kx, ky = f.grid.wavenumbers()
-    a1 = params.c * params.hbar * ky
-    a2 = -params.c * params.hbar * kx
-    a3 = params.rest_energy
-    hw = np.sqrt(a1**2 + a2**2 + a3**2)
-    theta = hw * t / params.hbar  # = w(k) t
-    cos_t = np.cos(theta)
-    sin_t = np.sin(theta) / hw
-    up = np.fft.fft2(f.data[0], norm="ortho")
-    low = np.fft.fft2(f.data[1], norm="ortho")
-    new_up = (cos_t - 1j * sin_t * a3) * up - 1j * sin_t * (a1 - 1j * a2) * low
-    new_low = -1j * sin_t * (a1 + 1j * a2) * up + (cos_t + 1j * sin_t * a3) * low
-    data = np.stack([
-        np.fft.ifft2(new_up, norm="ortho"),
-        np.fft.ifft2(new_low, norm="ortho"),
-    ])
+    p, energy = _mode_terms(f.grid, params)
+    theta = energy * t / params.hbar  # = w(k) t
+    sin_t = np.sin(theta) / energy
+    diag = np.cos(theta) - 1j * sin_t * params.rest_energy
+    off = sin_t * p
+    up, low = np.fft.fft2(f.data, norm="ortho")
+    spectrum = np.empty_like(f.data)  # U = cos(w t) - i sin_t H(k), row by row
+    spectrum[0] = diag * up + np.conj(off) * low
+    spectrum[1] = np.conj(diag) * low - off * up
+    data = np.fft.ifft2(spectrum, norm="ortho")
     return WaveField(f.grid, data, gauge_frame=False, time=f.time + t)
 
 
@@ -217,19 +216,18 @@ def small_component(f: WaveField, params: PhysicalParams = None) -> WaveField:
     """Closure estimate of the lower component from the upper one.
 
     In the co-rotating frame the lower component is slaved to the upper:
-    psi_low ~= -(hbar / 2mc) (d_x + i d_y) psi_up, accurate to O((v/c)^2).
-    Derivatives are applied spectrally.
+    psi_low ~= -(hbar / 2mc) (d_x + i d_y) psi_up, accurate to O((v/c)^2);
+    per mode that is -i p / (2 m c^2) times the upper amplitude.
     """
     params = params or PhysicalParams()
     if f.components != 2:
         raise ValueError("small_component expects a 2-component field")
     if not f.gauge_frame:
         raise GaugeFrameError("small_component expects a gauge-frame field")
-    kx, ky = f.grid.wavenumbers()
-    spectrum = np.fft.fft2(f.data[0], norm="ortho")
-    derived = np.fft.ifft2(1j * (kx + 1j * ky) * spectrum, norm="ortho")
-    factor = -params.hbar / (2.0 * params.m * params.c)
-    return WaveField(f.grid, factor * derived, gauge_frame=True, time=f.time)
+    p, _ = _mode_terms(f.grid, params)
+    spectrum = np.fft.fft2(f.data[0], norm="ortho") * (-1j * p / (2.0 * params.rest_energy))
+    return WaveField(f.grid, np.fft.ifft2(spectrum, norm="ortho"),
+                     gauge_frame=True, time=f.time)
 
 
 @dataclass(frozen=True)
@@ -289,24 +287,18 @@ def evolve_schrodinger(f: WaveField, t: float, params: PhysicalParams = None,
                        pot: PotentialConfig = None, steps: int = None) -> WaveField:
     """Advance a scalar field under the planar Schrodinger equation.
 
-    Free case: one exact spectral step with the kinetic phase
-    exp(-i hbar k^2 t / 2m).  Coupled case: Strang splitting alternating the
-    kinetic phase (momenta shifted by e*A/hbar for uniform A) with the
-    real-space scalar phase exp(-i e c a0 dt / hbar); second order in the
-    step size.
+    Strang splitting alternating the exact kinetic phase
+    exp(-i hbar k^2 dt / 2m) (momenta shifted by e*A/hbar for uniform A) with
+    the real-space scalar phase exp(-i e c a0 dt / hbar); second order in the
+    step size.  Without a potential this is one step, exact at every mode.
     """
     params = params or PhysicalParams()
     if f.components != 1:
         raise ValueError("evolve_schrodinger expects a scalar field")
     if t == 0.0:
         return replace(f, data=f.data.copy())
-    kx, ky = f.grid.wavenumbers()
-
     if pot is None:
-        kinetic = params.hbar * (kx**2 + ky**2) / (2.0 * params.m)
-        spectrum = np.fft.fft2(f.data, norm="ortho") * np.exp(-1j * kinetic * t)
-        return replace(f, data=np.fft.ifft2(spectrum, norm="ortho"), time=f.time + t)
-
+        pot, steps = PotentialConfig(), 1
     uniform = pot.uniform_vector()
     if uniform is None:
         raise ValueError(
@@ -319,10 +311,10 @@ def evolve_schrodinger(f: WaveField, t: float, params: PhysicalParams = None,
         raise ValueError("steps must be >= 1")
     dt = t / steps
     ax, ay = uniform
+    kx, ky = f.grid.wavenumbers()
     shift_x = params.e * ax / params.hbar
     shift_y = params.e * ay / params.hbar
-    kinetic = (params.hbar**2 * ((kx + shift_x) ** 2 + (ky + shift_y) ** 2)
-               / (2.0 * params.m * params.hbar))
+    kinetic = params.hbar * ((kx + shift_x) ** 2 + (ky + shift_y) ** 2) / (2.0 * params.m)
     scalar = params.e * params.c * np.asarray(pot.a0, dtype=float) / params.hbar
     if np.abs(scalar).max() * abs(dt) > np.pi:
         raise GridResolutionError(
@@ -339,17 +331,6 @@ def evolve_schrodinger(f: WaveField, t: float, params: PhysicalParams = None,
     return replace(f, data=data, time=f.time + t)
 
 
-@dataclass
-class LimitReport:
-    """Distance between Dirac and Schrodinger dynamics and its velocity scale."""
-
-    distance: float
-    vc_scale: float
-
-    def to_dict(self) -> dict:
-        return {"distance": self.distance, "vc_scale": self.vc_scale}
-
-
 def mean_momentum(f: WaveField) -> tuple[float, float]:
     kx, ky = f.grid.wavenumbers()
     spectrum = np.abs(np.fft.fft2(f.component(0), norm="ortho")) ** 2
@@ -357,13 +338,9 @@ def mean_momentum(f: WaveField) -> tuple[float, float]:
     return (float((kx * spectrum).sum() / weight), float((ky * spectrum).sum() / weight))
 
 
-def compare_limit(dirac_field: WaveField, schrod_field: WaveField,
-                  params: PhysicalParams = None) -> LimitReport:
+def compare_limit(dirac_field: WaveField, schrod_field: WaveField) -> float:
     """Relative L2 distance between the Dirac upper component and the
-    Schrodinger field, tagged with the packet's velocity scale hbar|k0|/(mc)
-    (k0 taken as the spectral mean momentum of the Schrodinger field).
-    """
-    params = params or PhysicalParams()
+    Schrodinger field."""
     if dirac_field.grid != schrod_field.grid:
         raise ValueError("compare_limit requires matching grids")
     if dirac_field.components != 2 or schrod_field.components != 1:
@@ -371,10 +348,7 @@ def compare_limit(dirac_field: WaveField, schrod_field: WaveField,
     if not dirac_field.gauge_frame:
         raise GaugeFrameError("Dirac field must be in the gauge frame for comparison")
     diff = dirac_field.data[0] - schrod_field.data
-    distance = float(np.sqrt(np.sum(np.abs(diff) ** 2) / np.sum(np.abs(schrod_field.data) ** 2)))
-    k0x, k0y = mean_momentum(schrod_field)
-    vc = params.hbar * float(np.hypot(k0x, k0y)) / (params.m * params.c)
-    return LimitReport(distance=distance, vc_scale=vc)
+    return float(np.sqrt(np.sum(np.abs(diff) ** 2) / np.sum(np.abs(schrod_field.data) ** 2)))
 
 
 def run_limit_comparison(k0x: float, k0y: float = 0.0, n: int = 128,
@@ -417,11 +391,9 @@ def run_limit_comparison(k0x: float, k0y: float = 0.0, n: int = 128,
         dirac_t = evolve_dirac(dirac_t, t_final / chunks, params)
         schrod_t = evolve_schrodinger(schrod_t, t_final / chunks, params)
     dirac_t = remove_rest_phase(dirac_t, t_final, params)
-    report = compare_limit(dirac_t, schrod_t, params)
-    vc = params.hbar * k0.magnitude / (params.m * params.c)
     out = {
-        "distance": report.distance,
-        "vc_scale": vc,
+        "distance": compare_limit(dirac_t, schrod_t),
+        "vc_scale": params.hbar * k0.magnitude / (params.m * params.c),
         "sigma": sigma,
         "box": box,
         "boundary_density": max(boundary_density(dirac_t), boundary_density(schrod_t)),

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,8 @@ class PhysicalParams:
 
     Massless particles are rejected: the metric norm 1 - |G|^2 of the spinors
     collapses as m -> 0 and the normalization of the branches degenerates.
+    Scales whose c^2, m c^2 or m c/hbar is zero or subnormal raise
+    FloatingPointError (and c^2 beyond the float range OverflowError).
     """
 
     m: float = 1.0
@@ -62,6 +65,12 @@ class PhysicalParams:
             raise ValueError(
                 f"require m, c, hbar > 0, got m={self.m}, c={self.c}, hbar={self.hbar}"
             )
+        # A zero or subnormal scale has lost its precision, so rounding can
+        # flip the sign of a metric norm downstream.
+        for name, value in (("c^2", self.c**2), ("m c^2", self.rest_energy),
+                            ("m c / hbar", self.compton_wavenumber)):
+            if value < sys.float_info.min:
+                raise FloatingPointError(f"{name} = {value:.3g} is zero or subnormal")
 
     @property
     def rest_energy(self) -> float:

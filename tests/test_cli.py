@@ -70,6 +70,14 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_subnormal_scale_exits_two(self, capsys):
+        """c^2 = 8.08e-315 is subnormal: rejected as out of range, not left
+        to flip the sign of the positive branch's metric norm."""
+        code, _, err = run_main(
+            ["spinor", "--kx", "1", "--ky", "0.125", "--c", "8.98938662189238e-158"], capsys)
+        assert code == 2
+        assert err.startswith("error: inputs out of floating-point range")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command,flag", [
         ("spinor", "--kx"), ("spinor", "--ky"), ("spinor", "--m"), ("spinor", "--c"),
@@ -104,12 +112,37 @@ SPINOR_FLOAT_FLAGS = ("--kx", "--ky", "--m", "--c", "--hbar")
 @example(dict.fromkeys(SPINOR_FLOAT_FLAGS, 1.0) | {"--kx": 1e200})  # overflow
 @example(dict.fromkeys(SPINOR_FLOAT_FLAGS, 1.0) | {"--m": 2.2e-311})  # omega^2 underflows to 0
 @example({"--kx": 0.0, "--ky": 3.7e46, "--m": 1.0, "--c": 5e16, "--hbar": 1e245})  # inf/inf spinor
+@example({"--kx": 1.0, "--ky": 0.125, "--m": 1.0, "--c": 8.98938662189238e-158,
+          "--hbar": 1.0})  # c^2 subnormal
 def test_spinor_float_flags_keep_exit_contract(values):
     """Any float, finite or not, gives exit 0, 1 or 2 and never a traceback."""
     argv = ["spinor"] + [f"{flag}={value!r}" for flag, value in values.items()]
     with contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     assert code in (0, 1, 2)
+
+
+# The geometry evolve derives at its default k0x: sigma = 4/|k0|, box = 24 sigma.
+EVOLVE_DEFAULTS = {"--box": 1920.0, "--sigma": 80.0, "--k0x": 0.05, "--k0y": 0.0,
+                   "--time": 10.0}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({
+    flag: st.one_of(st.just(default), st.floats(allow_nan=False, allow_infinity=False))
+    for flag, default in EVOLVE_DEFAULTS.items()}))
+@example(EVOLVE_DEFAULTS | {"--k0x": 1e-300})  # scaling run's sigma^2 overflows: exit 2
+@example(EVOLVE_DEFAULTS | {"--k0x": 2.2e-308})  # scaling run's box is infinite: exit 2
+@example(EVOLVE_DEFAULTS | {"--time": 1e-320})  # NaN scaling checks: exit 1
+def test_evolve_float_flags_keep_exit_contract(values):
+    """Any finite float for the evolve flags (non-finite ones are rejected
+    before dispatch), at grid 128, gives exit 0, 1 or 2 and never a traceback."""
+    argv = ["evolve", "--grid", "128"] + [f"{flag}={value!r}" for flag, value in values.items()]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestJsonOutput:

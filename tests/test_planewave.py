@@ -28,6 +28,12 @@ class TestParams:
         with pytest.raises(ValueError):
             PhysicalParams(**bad)
 
+    @pytest.mark.parametrize("scales", [dict(c=8.98938662189238e-158), dict(m=2.2e-311),
+                                        dict(m=1e-300, c=1e-10)])
+    def test_rejects_subnormal_scales(self, scales):
+        with pytest.raises(FloatingPointError, match="subnormal"):
+            PhysicalParams(**scales)
+
     def test_momentum_accessors(self):
         p = PhysicalParams(hbar=2.0)
         k = Momentum(3.0, -4.0)
