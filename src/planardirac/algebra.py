@@ -57,6 +57,7 @@ def k_generator(index: int) -> Matrix2c:
     raise ValueError(f"generator index must be 1, 2 or 3, got {index!r}")
 
 
+# The two brackets serve any operands with @, + and -: Fock operators too.
 def commutator(a: Matrix2c, b: Matrix2c) -> Matrix2c:
     return a @ b - b @ a
 

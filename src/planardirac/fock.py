@@ -23,7 +23,7 @@ from functools import reduce
 import numpy as np
 from scipy import sparse
 
-from .algebra import pauli
+from .algebra import anticommutator, commutator, pauli
 from .planewave import (
     Branch,
     Momentum,
@@ -185,14 +185,6 @@ class FockOperator:
         return (self - self.dagger()).max_abs()
 
 
-def commutator(a: FockOperator, b: FockOperator) -> FockOperator:
-    return a @ b - b @ a
-
-
-def anticommutator(a: FockOperator, b: FockOperator) -> FockOperator:
-    return a @ b + b @ a
-
-
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
 _ZSTR = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
@@ -271,11 +263,6 @@ class FockSpace:
         """(electron occupations, positron occupations) of a basis index."""
         bits = [(index >> (self.n_positions - 1 - j)) & 1 for j in range(self.n_positions)]
         return tuple(bits[: self.n_modes]), tuple(bits[self.n_modes:])
-
-    def basis_state(self, electron_occ, positron_occ) -> np.ndarray:
-        state = np.zeros(self.dim, dtype=complex)
-        state[self.basis_index(electron_occ, positron_occ)] = 1.0
-        return state
 
     def spinor(self, branch: Branch, index: int) -> np.ndarray:
         k = self.modes.momenta[index]
@@ -459,7 +446,7 @@ def field_anticommutator(space: FockSpace, r, r_prime, t: float) -> FieldAnticom
     )
 
 
-def hamiltonian_from_field(space: FockSpace, grid_n: int = None) -> FockOperator:
+def hamiltonian_from_field(space: FockSpace) -> FockOperator:
     """Assemble H by integrating hbar * Psibar (i sigma_3) dPsi/dt over the box.
 
     Brute-force check that the field expansion and the orthonormalization
@@ -471,8 +458,7 @@ def hamiltonian_from_field(space: FockSpace, grid_n: int = None) -> FockOperator
     integer_modes = getattr(space.modes, "integer_modes", None)
     if integer_modes is None:
         raise ValueError("hamiltonian_from_field needs a ModeSet built from integers")
-    if grid_n is None:
-        grid_n = 2 * max(max(abs(nx), abs(ny)) for nx, ny in integer_modes) + 2
+    grid_n = 2 * max(max(abs(nx), abs(ny)) for nx, ny in integer_modes) + 2
     length = space.modes.box_side
     step = length / grid_n
     area = step * step

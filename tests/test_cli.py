@@ -133,7 +133,7 @@ EVOLVE_DEFAULTS = {"--box": 1920.0, "--sigma": 80.0, "--k0x": 0.05, "--k0y": 0.0
     for flag, default in EVOLVE_DEFAULTS.items()}))
 @example(EVOLVE_DEFAULTS | {"--k0x": 1e-300})  # scaling run's sigma^2 overflows: exit 2
 @example(EVOLVE_DEFAULTS | {"--k0x": 2.2e-308})  # scaling run's box is infinite: exit 2
-@example(EVOLVE_DEFAULTS | {"--time": 1e-320})  # NaN scaling checks: exit 1
+@example(EVOLVE_DEFAULTS | {"--time": 1e-320})  # distances vanish: scaling checks fail, exit 1
 def test_evolve_float_flags_keep_exit_contract(values):
     """Any finite float for the evolve flags (non-finite ones are rejected
     before dispatch), at grid 128, gives exit 0, 1 or 2 and never a traceback."""
@@ -164,12 +164,43 @@ class TestJsonOutput:
         assert doc["wall_seconds"] >= 0.0
 
     def test_seeded_runs_are_deterministic(self, capsys):
-        _, first, _ = run_main(["--json", "--seed", "7", "algebra"], capsys)
-        _, second, _ = run_main(["--json", "--seed", "7", "algebra"], capsys)
-        a, b = json.loads(first), json.loads(second)
-        a.pop("wall_seconds")
-        b.pop("wall_seconds")
-        assert a == b
+        for command in ("algebra", "spinor", "fock", "evolve", "landau"):
+            _, first, _ = run_main(["--json", "--seed", "7", command], capsys)
+            _, second, _ = run_main(["--json", "--seed", "7", command], capsys)
+            a, b = json.loads(first), json.loads(second)
+            a.pop("wall_seconds")
+            b.pop("wall_seconds")
+            assert a == b, command
+
+    @pytest.mark.parametrize("argv,echo", [
+        (["--seed", "7", "--tol-scale", "2", "algebra"], {"seed": 7, "tol_scale": 2.0}),
+        (["--seed", "7", "spinor", "--kx", "0.5", "--ky", "-0.25", "--m", "2", "--c", "3",
+          "--hbar", "0.5"],
+         {"seed": 7, "kx": 0.5, "ky": -0.25, "m": 2.0, "c": 3.0, "hbar": 0.5}),
+        (["fock", "--modes", "1", "--box", "3", "--literal-68"],
+         {"modes": 1, "box": 3.0, "literal_68": True}),
+        (["evolve", "--grid", "128", "--box", "200", "--sigma", "20", "--k0x", "0.1",
+          "--k0y", "0.05", "--time", "1", "--steps", "2"],
+         {"grid": 128, "box": 200.0, "sigma": 20.0, "k0x": 0.1, "k0y": 0.05, "time": 1.0,
+          "steps": 2, "out": None}),
+        (["landau", "--B", "0.2", "--grid", "32", "--box", "20", "--levels", "2"],
+         {"B": 0.2, "grid": 32, "box": 20.0, "levels": 2}),
+    ], ids=["algebra", "spinor", "fock", "evolve", "landau"])
+    def test_parameters_echo_every_flag(self, argv, echo, capsys):
+        code, out, _ = run_main(["--json", *argv], capsys)
+        assert code in (0, 1)
+        parameters = json.loads(out)["parameters"]
+        assert {key: parameters.get(key) for key in echo} == echo
+
+    def test_parameters_hold_derived_values(self, capsys):
+        _, out, _ = run_main(["--json", "evolve", "--time", "0"], capsys)
+        assert {k: json.loads(out)["parameters"][k] for k in ("sigma", "box")} == {
+            "sigma": 80.0, "box": 1920.0}  # sigma = 4/|k0|, box = 24 sigma
+        _, out, _ = run_main(["--json", "landau", "--grid", "32", "--levels", "2"], capsys)
+        parameters = json.loads(out)["parameters"]
+        assert parameters["levels"] == 2
+        assert parameters["B"] == 0.25  # magnetic length = box/10
+        assert len(parameters["level_energies"]) == len(parameters["expected"]) == 2
 
 
 class TestAlgebraReport:
@@ -247,6 +278,17 @@ class TestEvolveCommand:
         doc = json.loads(out)
         by_name = {c["name"]: c for c in doc["checks"]}
         assert by_name["dirac vs schrodinger relative distance"]["measured"] < 1e-12
+
+    @pytest.mark.parametrize("t_final", ["1e-320", "1e-300"])
+    def test_vanishing_distances_fail_with_reason(self, t_final, capsys):
+        code, out, _ = run_main(["--json", "evolve", "--time", t_final], capsys)
+        assert code == 1
+        failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == [
+            "distance ratio on halving k0 (pair 0)", "distance ratio on halving k0 (pair 1)",
+            "log-log slope of distance vs v/c"]
+        assert all(c["expected"].startswith(f"distances vanish at t={t_final};")
+                   for c in failed)
 
     def test_snapshot_export(self, capsys, tmp_path):
         out_dir = tmp_path / "snaps"
