@@ -6,8 +6,10 @@ into the report and times the suite, which adds checks and derived values.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 precondition error (a non-finite float flag, or inputs whose arithmetic
-overflows, count as misuse).  Human-readable tables go to stderr; with --json
-a single JSON document (the RunReport) is printed on stdout.
+overflows, in Python or in numpy, count as misuse), 3 internal error (any
+other exception; its traceback goes to stderr).  Human-readable tables go to
+stderr; with --json a single JSON document (the RunReport) is printed on
+stdout.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import dataclasses
 import math
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -422,7 +425,8 @@ def main(argv=None) -> int:
             raise ValueError(f"--tol-scale must be finite and > 0, got {args.tol_scale}")
         report = RunReport(args.command, flags)
         start = time.perf_counter()
-        args.run(report, args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            args.run(report, args)
         report.wall_seconds = time.perf_counter() - start
     except (ValueError, nonrel.GaugeFrameError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -430,6 +434,9 @@ def main(argv=None) -> int:
     except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
         print(f"error: inputs out of floating-point range ({exc})", file=sys.stderr)
         return 2
+    except Exception:
+        print(f"internal error:\n{traceback.format_exc()}", file=sys.stderr, end="")
+        return 3
 
     report.print_table()
     if args.json:

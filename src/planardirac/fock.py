@@ -1,10 +1,11 @@
 """Finite-mode second quantization of the planar Dirac field.
 
-A ModeSet fixes M momentum points on a periodic box; each carries an electron
-and a positron fermionic mode, so the state space has dimension 4^M.  Mode
-operators are Jordan-Wigner encoded over a fixed ordering (electrons first,
-positrons second), which makes every anti-commutation relation hold exactly:
-operator entries are integers, so the checks below report literal zeros.
+A ModeSet fixes M integer wave-vectors n on a periodic box of side L, the
+momenta k = 2*pi*n/L; each carries an electron and a positron fermionic mode,
+so the state space has dimension 4^M.  Mode operators are Jordan-Wigner
+encoded over a fixed ordering (electrons first, positrons second), which makes
+every anti-commutation relation hold exactly: operator entries are integers,
+so the checks below report literal zeros.
 
 The continuum-to-box dictionary used throughout: momentum integrals become
 mode sums, Dirac deltas become Kronecker deltas, and the field-expansion
@@ -17,8 +18,8 @@ demonstrates by brute-force spatial integration.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 from scipy import sparse
@@ -49,51 +50,46 @@ class CapacityError(ValueError):
 
 @dataclass(frozen=True)
 class ModeSet:
-    """Ordered list of distinct momenta on a periodic box of side L."""
+    """Ordered distinct integer wave-vectors n = (nx, ny) on a periodic box of
+    side L; mode i carries the momentum k = 2*pi*n/L."""
 
-    momenta: tuple
+    wave_vectors: tuple
     box_side: float
     params: PhysicalParams = field(default_factory=PhysicalParams)
+    momenta: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        momenta = tuple(self.momenta)
-        object.__setattr__(self, "momenta", momenta)
-        if len(momenta) < 1:
-            raise ValueError("ModeSet needs at least one momentum")
+        try:
+            wave_vectors = tuple((operator.index(nx), operator.index(ny))
+                                 for nx, ny in self.wave_vectors)
+        except TypeError:
+            raise ValueError(
+                f"wave-vectors must be integer pairs, got {self.wave_vectors!r}") from None
+        if len(wave_vectors) < 1:
+            raise ValueError("ModeSet needs at least one wave-vector")
         if self.box_side <= 0:
             raise ValueError("box side must be positive")
-        seen = set()
-        for k in momenta:
-            key = (k.kx, k.ky)
-            if key in seen:
-                raise ValueError(f"duplicate momentum {key} in ModeSet")
-            seen.add(key)
-
-    @classmethod
-    def from_integers(cls, pairs, box_side: float, params: PhysicalParams = None):
-        """Momenta k = 2*pi*n/L from integer pairs n = (nx, ny)."""
-        params = params or PhysicalParams()
-        unit = 2.0 * np.pi / box_side
-        momenta = tuple(Momentum(unit * nx, unit * ny) for nx, ny in pairs)
-        ms = cls(momenta, box_side, params)
-        object.__setattr__(ms, "integer_modes", tuple((int(nx), int(ny)) for nx, ny in pairs))
-        return ms
+        if len(set(wave_vectors)) != len(wave_vectors):
+            raise ValueError(f"duplicate wave-vector in ModeSet {wave_vectors}")
+        unit = 2.0 * np.pi / self.box_side
+        object.__setattr__(self, "wave_vectors", wave_vectors)
+        object.__setattr__(self, "momenta",
+                           tuple(Momentum(unit * nx, unit * ny) for nx, ny in wave_vectors))
 
     def __len__(self):
-        return len(self.momenta)
+        return len(self.wave_vectors)
 
     def omega(self, i: int) -> float:
         return dispersion_omega(self.momenta[i], self.params)
 
     def partner_index(self, i: int) -> int:
-        """Index of the momentum -k for mode i (k = 0 partners itself)."""
-        target = self.momenta[i].negated()
-        for j, k in enumerate(self.momenta):
-            if k.kx == target.kx and k.ky == target.ky:
-                return j
-        raise ValueError(
-            f"ModeSet has no partner momentum ({target.kx}, {target.ky}) for mode {i}"
-        )
+        """Index of the wave-vector -n for mode i (n = 0 partners itself)."""
+        nx, ny = self.wave_vectors[i]
+        try:
+            return self.wave_vectors.index((-nx, -ny))
+        except ValueError:
+            raise ValueError(
+                f"ModeSet has no partner wave-vector ({-nx}, {-ny}) for mode {i}") from None
 
 
 _DEFAULT_INTEGER_MODES = {
@@ -111,7 +107,7 @@ def default_symmetric_modes(n_modes: int, box_side: float = 2.0 * np.pi,
     """Momentum-symmetric ModeSet (every k paired with -k) of size n_modes."""
     if n_modes not in _DEFAULT_INTEGER_MODES:
         raise CapacityError(f"no default mode pattern for M={n_modes} (max {M_MAX})")
-    return ModeSet.from_integers(_DEFAULT_INTEGER_MODES[n_modes], box_side, params)
+    return ModeSet(_DEFAULT_INTEGER_MODES[n_modes], box_side, params or PhysicalParams())
 
 
 @dataclass
@@ -185,24 +181,14 @@ class FockOperator:
         return (self - self.dagger()).max_abs()
 
 
-_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
-_ZSTR = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
-
-
-def _jordan_wigner_lowering(position: int, n_positions: int):
-    """sigma_z**position (x) lower (x) identity**rest as a CSR matrix."""
-    factors = [_ZSTR] * position + [_LOWER] + [_I2] * (n_positions - position - 1)
-    return reduce(lambda a, b: sparse.kron(a, b, format="csr"),
-                  [sparse.csr_matrix(f) for f in factors])
-
-
 class FockSpace:
     """4^M-dimensional fermionic Fock space over a ModeSet.
 
     Jordan-Wigner chain positions: electron mode i sits at position i,
-    positron mode i at position M + i.  Basis index bit significance follows
-    chain order, position 0 most significant, so the vacuum is index 0.
+    positron mode i at position M + i.  ``weights[j]`` = 2^(2M-1-j) is the
+    basis-index bit of position j, so position 0 is the most significant bit
+    and the vacuum is index 0.  ``occupation`` tabulates that layout once, one
+    row of 0/1 per basis state, and every operator and decoding reads it.
     Operators are sparse at every M, the usual storage for Jordan-Wigner
     operators (OpenFermion, McClean et al., arXiv:1710.07629).
     """
@@ -215,9 +201,21 @@ class FockSpace:
         self.n_modes = n
         self.n_positions = 2 * n
         self.dim = 4**n
-        self._lowering = [
-            _jordan_wigner_lowering(j, self.n_positions) for j in range(self.n_positions)
-        ]
+        self.weights = 1 << (self.n_positions - 1 - np.arange(self.n_positions))
+        self.occupation = ((np.arange(self.dim)[:, None] & self.weights) != 0).astype(np.int64)
+        self._lowering = [self._lowering_matrix(j) for j in range(self.n_positions)]
+
+    def _lowering_matrix(self, position: int):
+        """Jordan-Wigner annihilator as CSR: row r, with the position empty,
+        holds the one entry (-1)^(occupied positions before it) at column
+        r + weight, the state that differs from r by that bit alone."""
+        empty = self.occupation[:, position] == 0
+        rows = np.flatnonzero(empty)
+        signs = 1 - 2 * (self.occupation[rows, :position].sum(axis=1) % 2)
+        return sparse.csr_matrix(
+            (signs.astype(complex), rows + self.weights[position],
+             np.concatenate(([0], np.cumsum(empty)))),
+            shape=(self.dim, self.dim))
 
     @property
     def params(self) -> PhysicalParams:
@@ -254,15 +252,12 @@ class FockSpace:
         occ = list(electron_occ) + list(positron_occ)
         if len(occ) != self.n_positions:
             raise ValueError("occupation lists must cover every mode")
-        index = 0
-        for n in occ:
-            index = (index << 1) | (1 if n else 0)
-        return index
+        return int(self.weights[np.asarray(occ, dtype=bool)].sum())
 
     def occupations(self, index: int):
         """(electron occupations, positron occupations) of a basis index."""
-        bits = [(index >> (self.n_positions - 1 - j)) & 1 for j in range(self.n_positions)]
-        return tuple(bits[: self.n_modes]), tuple(bits[self.n_modes:])
+        row = self.occupation[index].tolist()
+        return tuple(row[: self.n_modes]), tuple(row[self.n_modes:])
 
     def spinor(self, branch: Branch, index: int) -> np.ndarray:
         k = self.modes.momenta[index]
@@ -346,9 +341,7 @@ def normal_ordered_hamiltonian(space: FockSpace) -> FockOperator:
 def occupation_spectrum(space: FockSpace) -> np.ndarray:
     """Energies of H' enumerated from occupation numbers, in basis order."""
     n = space.n_modes
-    shifts = space.n_positions - 1 - np.arange(space.n_positions)
-    bits = (np.arange(space.dim)[:, None] >> shifts) & 1
-    occupation = bits[:, :n] + bits[:, n:]  # electrons plus positrons, per mode
+    occupation = space.occupation[:, :n] + space.occupation[:, n:]  # per mode, both species
     # Accumulated mode by mode, as H' is; a matrix product reorders the sum
     # and moves the result by a few ulp.
     return space.params.hbar * sum(space.modes.omega(i) * occupation[:, i] for i in range(n))
@@ -451,14 +444,11 @@ def hamiltonian_from_field(space: FockSpace) -> FockOperator:
 
     Brute-force check that the field expansion and the orthonormalization
     reproduce the momentum-space Hamiltonian: the cross terms (b'd' and d b)
-    cancel through the metric orthogonality of the two branches.  Requires an
-    integer-commensurate ModeSet so the discrete plane waves are orthogonal on
-    the grid.
+    cancel through the metric orthogonality of the two branches.  The grid
+    resolves the largest integer wave-vector, so the discrete plane waves are
+    orthogonal on it.
     """
-    integer_modes = getattr(space.modes, "integer_modes", None)
-    if integer_modes is None:
-        raise ValueError("hamiltonian_from_field needs a ModeSet built from integers")
-    grid_n = 2 * max(max(abs(nx), abs(ny)) for nx, ny in integer_modes) + 2
+    grid_n = 2 * max(max(abs(nx), abs(ny)) for nx, ny in space.modes.wave_vectors) + 2
     length = space.modes.box_side
     step = length / grid_n
     area = step * step

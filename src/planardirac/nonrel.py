@@ -150,7 +150,7 @@ def build_gaussian(grid: Grid2D, center, k0: Momentum, sigma: float,
             f"spectral support |k0|+4/sigma = {k0.magnitude + 4 / sigma:.4g} "
             f"exceeds the Nyquist wavenumber {grid.nyquist:.4g}"
         )
-    width = 4.0 * sigma**2  # before the mesh arithmetic, so an overflow raises here
+    width = 4.0 * sigma**2
     x, y = grid.meshes()
     envelope = np.exp(
         -((x - center[0]) ** 2 + (y - center[1]) ** 2) / width
@@ -276,12 +276,6 @@ class PotentialConfig:
             else:
                 return None
         return values[0], values[1]
-
-    @classmethod
-    def uniform_field(cls, grid: Grid2D, b: float) -> "PotentialConfig":
-        """Symmetric gauge for a uniform perpendicular magnetic field B."""
-        x, y = grid.meshes()
-        return cls(a0=0.0, ax=-0.5 * b * y, ay=0.5 * b * x)
 
 
 def evolve_schrodinger(f: WaveField, t: float, params: PhysicalParams = None,

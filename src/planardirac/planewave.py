@@ -108,9 +108,6 @@ class Momentum:
     def py(self, params: PhysicalParams) -> float:
         return params.hbar * self.ky
 
-    def negated(self) -> "Momentum":
-        return Momentum(-self.kx, -self.ky)
-
 
 def dispersion_omega(k: Momentum, params: PhysicalParams) -> float:
     """Positive root w = sqrt(k^2 c^2 + (m c^2 / hbar)^2); w >= m c^2 / hbar."""

@@ -98,6 +98,19 @@ class TestExitCodes:
             cli.main(["no-such-command"])
         assert excinfo.value.code == 2
 
+    def test_internal_error_exits_three(self, capsys, monkeypatch):
+        """An exception outside the mapped misuse set is a defect of the
+        program, not a failed physics check: exit 3 with its traceback."""
+        def broken(report, args):
+            raise RuntimeError("injected defect")
+
+        monkeypatch.setattr(cli, "run_algebra", broken)
+        code, out, err = run_main(["--json", "algebra"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error:")
+        assert "Traceback" in err and "RuntimeError: injected defect" in err
+
     def test_degenerate_normalization_is_failed_check_not_crash(self, capsys):
         code, _, err = run_main(["spinor", "--kx", "1e13"], capsys)
         assert code == 1
@@ -134,10 +147,30 @@ EVOLVE_DEFAULTS = {"--box": 1920.0, "--sigma": 80.0, "--k0x": 0.05, "--k0y": 0.0
 @example(EVOLVE_DEFAULTS | {"--k0x": 1e-300})  # scaling run's sigma^2 overflows: exit 2
 @example(EVOLVE_DEFAULTS | {"--k0x": 2.2e-308})  # scaling run's box is infinite: exit 2
 @example(EVOLVE_DEFAULTS | {"--time": 1e-320})  # distances vanish: scaling checks fail, exit 1
+@example(EVOLVE_DEFAULTS | {"--k0x": 3e-154, "--time": 1.0})  # numpy mesh square overflows: exit 2
 def test_evolve_float_flags_keep_exit_contract(values):
     """Any finite float for the evolve flags (non-finite ones are rejected
     before dispatch), at grid 128, gives exit 0, 1 or 2 and never a traceback."""
     argv = ["evolve", "--grid", "128"] + [f"{flag}={value!r}" for flag, value in values.items()]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({
+    "--B": st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
+    "--box": st.one_of(st.just(20.0), st.floats(allow_nan=False, allow_infinity=False))}))
+@example({"--B": None, "--box": 1e-300})  # default B divides by a squared box that is 0: exit 2
+@example({"--B": None, "--box": 1e200})  # default B squares an overflowing box: exit 2
+@example({"--B": 1e300, "--box": 20.0})  # magnetic length below 3 grid spacings: exit 2
+def test_landau_float_flags_keep_exit_contract(values):
+    """Any finite --B (or its default) and --box, at grid 32, gives exit 0, 1
+    or 2 and never a traceback."""
+    argv = ["landau", "--grid", "32"] + [f"{flag}={value!r}" for flag, value in values.items()
+                                         if value is not None]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = cli.main(argv)

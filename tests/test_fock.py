@@ -1,14 +1,16 @@
 """Finite-mode second quantization: anti-commutators, spectra, field operators
 and the bosonic pair algebra, all on exact Jordan-Wigner matrices."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from planardirac import fock
 from planardirac.fock import ELECTRON, POSITRON
-from planardirac.planewave import Branch, Momentum
+from planardirac.planewave import Branch
 
 
 @pytest.fixture(scope="module")
@@ -33,17 +35,17 @@ class TestModeSet:
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
-            fock.ModeSet((Momentum(1, 0), Momentum(1, 0)), 1.0)
+            fock.ModeSet(((1, 0), (1, 0)), 1.0)
 
     def test_rejects_empty_and_bad_box(self):
         with pytest.raises(ValueError):
             fock.ModeSet((), 1.0)
         with pytest.raises(ValueError):
-            fock.ModeSet((Momentum(0, 0),), 0.0)
+            fock.ModeSet(((0, 0),), 0.0)
 
     def test_capacity_error(self):
         pairs = [(i, 0) for i in range(7)]
-        modes = fock.ModeSet.from_integers(pairs, 2 * np.pi)
+        modes = fock.ModeSet(pairs, 2 * np.pi)
         with pytest.raises(fock.CapacityError):
             fock.build_space(modes)
 
@@ -51,9 +53,22 @@ class TestModeSet:
         modes = fock.default_symmetric_modes(2)
         assert modes.partner_index(0) == 1
         assert modes.partner_index(1) == 0
-        lone = fock.ModeSet.from_integers([(1, 0)], 2 * np.pi)
+        lone = fock.ModeSet([(1, 0)], 2 * np.pi)
         with pytest.raises(ValueError, match="partner"):
             lone.partner_index(0)
+
+    def test_rejects_non_integer_wave_vectors(self):
+        """Modes live on the box lattice k = 2*pi*n/L, so the field integral's
+        discrete plane waves are orthogonal; off-lattice input is refused."""
+        with pytest.raises(ValueError, match="integer"):
+            fock.ModeSet(((0.3, 0.7),), 2 * np.pi)
+        with pytest.raises(ValueError, match="integer"):
+            fock.ModeSet(((1.0, 0),), 2 * np.pi)
+
+    def test_momenta_follow_wave_vectors(self):
+        modes = fock.ModeSet(((1, -2), (0, 3)), 4.0)
+        assert [(k.kx, k.ky) for k in modes.momenta] == [
+            (2 * np.pi / 4.0 * 1, 2 * np.pi / 4.0 * -2), (0.0, 2 * np.pi / 4.0 * 3)]
 
     def test_zero_momentum_partners_itself(self):
         modes = fock.default_symmetric_modes(1)
@@ -96,6 +111,24 @@ class TestOperatorBasics:
         for index in range(space2.dim):
             elec, pos = space2.occupations(index)
             assert space2.basis_index(elec, pos) == index
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5, 6])
+    def test_lowering_matches_kronecker_reference(self, n_modes):
+        """Every annihilator equals sigma_z^(x)j (x) |0><1| (x) I^(x)rest at
+        chain position j, entry for entry."""
+        space = fock.build_space(fock.default_symmetric_modes(n_modes))
+        zstr = sparse.csr_matrix(np.diag([1.0, -1.0]).astype(complex))
+        lower = sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        eye = sparse.identity(2, dtype=complex, format="csr")
+        for species, offset in ((ELECTRON, 0), (POSITRON, n_modes)):
+            for i in range(n_modes):
+                j = offset + i
+                factors = [zstr] * j + [lower] + [eye] * (2 * n_modes - j - 1)
+                reference = functools.reduce(
+                    lambda a, b: sparse.kron(a, b, format="csr"), factors)
+                op = space.annihilation(species, i).matrix
+                assert op.nnz == reference.nnz == space.dim // 2
+                assert (op != reference).nnz == 0, (species, i)
 
     def test_csr_storage_at_every_mode_count(self):
         for n_modes, index in ((1, 0), (5, 3)):
@@ -167,7 +200,7 @@ class TestHamiltonian:
     def test_spectrum_is_subset_sum_enumeration(self):
         """M=2 with frequencies (1, sqrt(26)): spectrum = all subset sums of
         {1, 1, sqrt(26), sqrt(26)} (occupation-number oracle)."""
-        modes = fock.ModeSet((Momentum(0, 0), Momentum(3, 4)), 2 * np.pi)
+        modes = fock.ModeSet(((0, 0), (3, 4)), 2 * np.pi)
         space = fock.build_space(modes)
         diag = np.sort(fock.normal_ordered_hamiltonian(space).diagonal().real)
         pool = [1.0, 1.0, np.sqrt(26.0), np.sqrt(26.0)]
@@ -218,11 +251,6 @@ class TestFieldOperator:
             space = fock.build_space(fock.default_symmetric_modes(n_modes))
             assembled = fock.hamiltonian_from_field(space)
             assert (assembled - fock.hamiltonian(space)).max_abs() < 1e-12
-
-    def test_field_integral_requires_integer_modes(self):
-        modes = fock.ModeSet((Momentum(0.3, 0.7),), 2 * np.pi)
-        with pytest.raises(ValueError, match="integers"):
-            fock.hamiltonian_from_field(fock.build_space(modes))
 
 
 class TestFieldAnticommutator:
@@ -288,7 +316,7 @@ class TestPairOperators:
         assert np.abs((pair @ pair).apply(vac) - vac).max() == 0.0
 
     def test_missing_partner_raises(self):
-        modes = fock.ModeSet.from_integers([(1, 0), (0, 1)], 2 * np.pi)
+        modes = fock.ModeSet([(1, 0), (0, 1)], 2 * np.pi)
         space = fock.build_space(modes)
         with pytest.raises(ValueError, match="partner"):
             fock.pair_operator(space, 0)

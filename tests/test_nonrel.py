@@ -324,7 +324,8 @@ class TestSchrodingerEvolution:
 
     def test_nonuniform_vector_potential_rejected(self):
         grid = nr.Grid2D(32, 16.0)
-        pot = nr.PotentialConfig.uniform_field(grid, 0.5)
+        x, y = grid.meshes()
+        pot = nr.PotentialConfig(ax=-0.25 * y, ay=0.25 * x)  # symmetric gauge, B = 0.5
         f = nr.build_gaussian(grid, (0, 0), Momentum(0, 0), 2.0)
         with pytest.raises(ValueError, match="uniform"):
             nr.evolve_schrodinger(f, 1.0, NATURAL, pot, steps=10)
