@@ -335,12 +335,12 @@ def _inertia_check(name: str, result: dict, exact: float) -> Check:
 
 def run_landau(report: RunReport, args: argparse.Namespace) -> None:
     params = PhysicalParams()
+    grid = nonrel.Grid2D(args.grid, args.box)
     b_field = args.B
     if b_field is None:
         # default: magnetic length = box/10
         b_field = params.hbar / (params.e * (args.box / 10.0) ** 2)
     exact = 1e-14 * args.tol_scale
-    grid = nonrel.Grid2D(args.grid, args.box)
     result = nonrel.landau_levels(b_field, grid, params, n_levels=args.levels)
     report.parameters.update(B=b_field, magnetic_length=result["magnetic_length"],
                              level_energies=result["levels"], expected=result["expected"])

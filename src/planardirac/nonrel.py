@@ -131,16 +131,12 @@ def _spinor_weights(grid: Grid2D, params: PhysicalParams):
     return g1, np.sqrt(1.0 - np.abs(g1) ** 2)
 
 
-def build_gaussian(grid: Grid2D, center, k0: Momentum, sigma: float,
-                   components: int = 1,
-                   params: PhysicalParams = None) -> WaveField:
-    """Normalized Gaussian packet of width sigma carrying mean momentum k0.
+def _gaussian_factors(grid: Grid2D, center, k0: Momentum, sigma: float):
+    """The x and y factors of exp(-|r - center|^2 / 4 sigma^2 + i k0.r).
 
-    |psi|^2 has per-axis variance sigma^2.  The 2-component variant projects
-    every Fourier mode onto the positive-branch spinor u_N(k), so the packet
-    is free of negative-branch weight.
+    The envelope is their outer product, and its unitary 2-D DFT is the outer
+    product of their unitary 1-D DFTs.
     """
-    params = params or PhysicalParams()
     if sigma < 4.0 * grid.spacing:
         raise GridResolutionError(
             f"sigma={sigma:.4g} must be at least 4 grid spacings ({4 * grid.spacing:.4g})"
@@ -151,17 +147,34 @@ def build_gaussian(grid: Grid2D, center, k0: Momentum, sigma: float,
             f"exceeds the Nyquist wavenumber {grid.nyquist:.4g}"
         )
     width = 4.0 * sigma**2
-    x, y = grid.meshes()
-    envelope = np.exp(
-        -((x - center[0]) ** 2 + (y - center[1]) ** 2) / width
-        + 1j * (k0.kx * x + k0.ky * y)
-    )
+    x, y = grid.axes()
+    return (np.exp(-((x - center[0]) ** 2) / width + 1j * k0.kx * x),
+            np.exp(-((y - center[1]) ** 2) / width + 1j * k0.ky * y))
+
+
+def _outer_spectrum(factors) -> np.ndarray:
+    """Unitary 2-D DFT of np.multiply.outer(*factors)."""
+    fx, fy = (np.fft.fft(f, norm="ortho") for f in factors)
+    return np.multiply.outer(fx, fy)
+
+
+def build_gaussian(grid: Grid2D, center, k0: Momentum, sigma: float,
+                   components: int = 1,
+                   params: PhysicalParams = None) -> WaveField:
+    """Normalized Gaussian packet of width sigma carrying mean momentum k0.
+
+    |psi|^2 has per-axis variance sigma^2.  The 2-component variant projects
+    every Fourier mode onto the positive-branch spinor u_N(k), so the packet
+    is free of negative-branch weight.
+    """
+    params = params or PhysicalParams()
+    factors = _gaussian_factors(grid, center, k0, sigma)
     if components == 1:
-        return WaveField(grid, envelope).normalized()
+        return WaveField(grid, np.multiply.outer(*factors)).normalized()
     if components != 2:
         raise ValueError("components must be 1 or 2")
     g1, divisor = _spinor_weights(grid, params)
-    spectrum = np.fft.fft2(envelope, norm="ortho") / divisor
+    spectrum = _outer_spectrum(factors) / divisor
     data = np.fft.ifft2(np.stack([spectrum, g1 * spectrum]), norm="ortho")
     return WaveField(grid, data).normalized()
 
@@ -180,26 +193,42 @@ def negative_branch_weight(f: WaveField, params: PhysicalParams = None) -> float
     return float(np.sqrt(np.sum(np.abs(c_v) ** 2) / total))
 
 
-def evolve_dirac(f: WaveField, t: float, params: PhysicalParams = None) -> WaveField:
-    """Advance a 2-component field by exp(-i t H(k)/hbar) mode-by-mode.
+def _dirac_propagator(grid: Grid2D, params: PhysicalParams, t: float):
+    """(diag, off) per mode, with U(t) = exp(-i t H(k)/hbar) = [[diag, conj(off)],
+    [-off, conj(diag)]].
 
-    H(k) is Hermitian with H(k)^2 = E^2, E = hbar*w(k), so the propagator is
-    cos(w t) - i sin(w t) H(k)/E: exactly unitary for any t.
+    H(k) is Hermitian with H(k)^2 = E^2, E = hbar*w(k), so
+    U = cos(w t) - i sin(w t) H(k)/E: exactly unitary for any t.
     """
+    p, energy = _mode_terms(grid, params)
+    theta = energy * t / params.hbar  # = w(k) t
+    sin_t = np.sin(theta) / energy
+    return np.cos(theta) - 1j * sin_t * params.rest_energy, sin_t * p
+
+
+def _dirac_step(spectrum: np.ndarray, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Apply U (from _dirac_propagator) to a (2, n, n) spectrum, row by row."""
+    up, low = spectrum
+    out = np.empty_like(spectrum)
+    out[0] = diag * up + np.conj(off) * low
+    out[1] = np.conj(diag) * low - off * up
+    return out
+
+
+def _rest_phase(params: PhysicalParams, t: float) -> complex:
+    """exp(+i m c^2 t / hbar)."""
+    return np.exp(1j * params.rest_energy * t / params.hbar)
+
+
+def evolve_dirac(f: WaveField, t: float, params: PhysicalParams = None) -> WaveField:
+    """Advance a 2-component field by exp(-i t H(k)/hbar) mode-by-mode."""
     params = params or PhysicalParams()
     if f.components != 2:
         raise ValueError("evolve_dirac expects a 2-component field")
     if f.gauge_frame:
         raise GaugeFrameError("evolve_dirac expects a lab-frame field")
-    p, energy = _mode_terms(f.grid, params)
-    theta = energy * t / params.hbar  # = w(k) t
-    sin_t = np.sin(theta) / energy
-    diag = np.cos(theta) - 1j * sin_t * params.rest_energy
-    off = sin_t * p
-    up, low = np.fft.fft2(f.data, norm="ortho")
-    spectrum = np.empty_like(f.data)  # U = cos(w t) - i sin_t H(k), row by row
-    spectrum[0] = diag * up + np.conj(off) * low
-    spectrum[1] = np.conj(diag) * low - off * up
+    spectrum = _dirac_step(np.fft.fft2(f.data, norm="ortho"),
+                           *_dirac_propagator(f.grid, params, t))
     data = np.fft.ifft2(spectrum, norm="ortho")
     return WaveField(f.grid, data, gauge_frame=False, time=f.time + t)
 
@@ -209,8 +238,7 @@ def remove_rest_phase(f: WaveField, t: float, params: PhysicalParams = None) -> 
     params = params or PhysicalParams()
     if f.gauge_frame:
         raise GaugeFrameError("rest-mass phase already removed from this field")
-    phase = np.exp(1j * params.rest_energy * t / params.hbar)
-    return replace(f, data=f.data * phase, gauge_frame=True)
+    return replace(f, data=f.data * _rest_phase(params, t), gauge_frame=True)
 
 
 def small_component(f: WaveField, params: PhysicalParams = None) -> WaveField:
@@ -278,6 +306,16 @@ class PotentialConfig:
         return values[0], values[1]
 
 
+def _kinetic_phase(grid: Grid2D, params: PhysicalParams, dt: float, vector) -> np.ndarray:
+    """exp(-i hbar |k + e A/hbar|^2 dt / 2m) per mode, for the uniform vector
+    potential A = vector = (Ax, Ay)."""
+    kx, ky = grid.wavenumbers()
+    shift_x = params.e * vector[0] / params.hbar
+    shift_y = params.e * vector[1] / params.hbar
+    kinetic = params.hbar * ((kx + shift_x) ** 2 + (ky + shift_y) ** 2) / (2.0 * params.m)
+    return np.exp(-1j * kinetic * dt)
+
+
 def evolve_schrodinger(f: WaveField, t: float, params: PhysicalParams = None,
                        pot: PotentialConfig = None, steps: int = None) -> WaveField:
     """Advance a scalar field under the planar Schrodinger equation.
@@ -305,17 +343,12 @@ def evolve_schrodinger(f: WaveField, t: float, params: PhysicalParams = None,
     if steps < 1:
         raise ValueError("steps must be >= 1")
     dt = t / steps
-    ax, ay = uniform
-    kx, ky = f.grid.wavenumbers()
-    shift_x = params.e * ax / params.hbar
-    shift_y = params.e * ay / params.hbar
-    kinetic = params.hbar * ((kx + shift_x) ** 2 + (ky + shift_y) ** 2) / (2.0 * params.m)
     scalar = params.e * params.c * np.asarray(pot.a0, dtype=float) / params.hbar
     if np.abs(scalar).max() * abs(dt) > np.pi:
         raise GridResolutionError(
             "potential phase per step exceeds pi; increase steps"
         )
-    kin_phase = np.exp(-1j * kinetic * dt)
+    kin_phase = _kinetic_phase(f.grid, params, dt, uniform)
     half_pot = np.exp(-0.5j * scalar * dt)
     data = f.data * half_pot
     for step in range(steps):
@@ -333,6 +366,11 @@ def mean_momentum(f: WaveField) -> tuple[float, float]:
     return (float((kx * spectrum).sum() / weight), float((ky * spectrum).sum() / weight))
 
 
+def _relative_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """||a - b|| / ||b|| in the l2 norm; the same on unitary spectra (Parseval)."""
+    return float(np.sqrt(np.sum(np.abs(a - b) ** 2) / np.sum(np.abs(b) ** 2)))
+
+
 def compare_limit(dirac_field: WaveField, schrod_field: WaveField) -> float:
     """Relative L2 distance between the Dirac upper component and the
     Schrodinger field."""
@@ -342,8 +380,49 @@ def compare_limit(dirac_field: WaveField, schrod_field: WaveField) -> float:
         raise ValueError("expected a 2-component Dirac field and a scalar field")
     if not dirac_field.gauge_frame:
         raise GaugeFrameError("Dirac field must be in the gauge frame for comparison")
-    diff = dirac_field.data[0] - schrod_field.data
-    return float(np.sqrt(np.sum(np.abs(diff) ** 2) / np.sum(np.abs(schrod_field.data) ** 2)))
+    return _relative_distance(dirac_field.data[0], schrod_field.data)
+
+
+def _limit_spectra(k0: Momentum, n: int, t_final: float, params: PhysicalParams,
+                   sigma: float = None, box: float = None, steps: int = 1):
+    """The limit comparison done on unitary spectra, with no real-space step.
+
+    Builds U(dt) and the kinetic phase for dt = t_final/steps once, applies
+    them steps times to the spectrum of the normalized packet, and removes
+    the rest-mass phase.  Returns (out, grid, dirac, schrodinger): out holds
+    "distance", "vc_scale", "sigma" and "box"; dirac (2, n, n) and
+    schrodinger (n, n) are the spectra at t_final, Dirac in the gauge frame.
+    """
+    if sigma is None:
+        if k0.magnitude == 0.0:
+            if box is None:
+                raise ValueError("k0 = 0 needs an explicit sigma or box")
+            sigma = box / 24.0
+        else:
+            sigma = 4.0 / k0.magnitude
+    if box is None:
+        box = 24.0 * sigma
+    grid = Grid2D(n, box)
+    factors = _gaussian_factors(grid, (0.0, 0.0), k0, sigma)
+    # The unitary DFT keeps the norm, so this normalizes the packet.
+    schrod = _outer_spectrum(factors)
+    schrod /= WaveField(grid, schrod).norm
+    dirac = np.stack([schrod, np.zeros_like(schrod)])
+
+    dt = t_final / steps
+    diag, off = _dirac_propagator(grid, params, dt)
+    kin_phase = _kinetic_phase(grid, params, dt, (0.0, 0.0))
+    for _ in range(steps):
+        dirac = _dirac_step(dirac, diag, off)
+        schrod = schrod * kin_phase
+    dirac *= _rest_phase(params, t_final)
+    out = {
+        "distance": _relative_distance(dirac[0], schrod),
+        "vc_scale": params.hbar * k0.magnitude / (params.m * params.c),
+        "sigma": sigma,
+        "box": box,
+    }
+    return out, grid, dirac, schrod
 
 
 def run_limit_comparison(k0x: float, k0y: float = 0.0, n: int = 128,
@@ -360,39 +439,20 @@ def run_limit_comparison(k0x: float, k0y: float = 0.0, n: int = 128,
 
     Geometry defaults scale with the packet: sigma = 4/|k0| and box = 24*sigma,
     keeping the relative momentum spread fixed across scaling runs.  steps
-    splits the evolution into sequential applications (free evolution is
-    step-count independent; this exercises the group property).
+    splits the evolution into sequential applications of U(t/steps) in
+    Fourier space (free evolution is step-count independent; this exercises
+    the group property).  Only the final fields return to real space, for
+    the boundary density and keep_fields.
     """
     params = params or PhysicalParams()
     if steps is not None and steps < 1:
         raise ValueError("steps must be >= 1")
-    k0 = Momentum(k0x, k0y)
-    if sigma is None:
-        if k0.magnitude == 0.0:
-            if box is None:
-                raise ValueError("k0 = 0 needs an explicit sigma or box")
-            sigma = box / 24.0
-        else:
-            sigma = 4.0 / k0.magnitude
-    if box is None:
-        box = 24.0 * sigma
-    grid = Grid2D(n, box)
-    scalar = build_gaussian(grid, (0.0, 0.0), k0, sigma, components=1, params=params)
-    dirac_t = WaveField(grid, np.stack([scalar.data, np.zeros_like(scalar.data)]))
-    schrod_t = scalar
-
-    chunks = steps or 1
-    for _ in range(chunks):
-        dirac_t = evolve_dirac(dirac_t, t_final / chunks, params)
-        schrod_t = evolve_schrodinger(schrod_t, t_final / chunks, params)
-    dirac_t = remove_rest_phase(dirac_t, t_final, params)
-    out = {
-        "distance": compare_limit(dirac_t, schrod_t),
-        "vc_scale": params.hbar * k0.magnitude / (params.m * params.c),
-        "sigma": sigma,
-        "box": box,
-        "boundary_density": max(boundary_density(dirac_t), boundary_density(schrod_t)),
-    }
+    out, grid, dirac, schrod = _limit_spectra(Momentum(k0x, k0y), n, t_final, params,
+                                              sigma, box, steps or 1)
+    dirac_t = WaveField(grid, np.fft.ifft2(dirac, norm="ortho"), gauge_frame=True,
+                        time=t_final)
+    schrod_t = WaveField(grid, np.fft.ifft2(schrod, norm="ortho"), time=t_final)
+    out["boundary_density"] = max(boundary_density(dirac_t), boundary_density(schrod_t))
     if keep_fields:
         out["dirac_field"] = dirac_t
         out["schrodinger_field"] = schrod_t
@@ -403,11 +463,13 @@ def limit_scaling_study(k0_values, n: int = 128, t_final: float = 10.0,
                         params: PhysicalParams = None) -> dict:
     """Distances at several velocity scales plus the fitted log-log slope.
 
+    Each distance is taken on spectra, so no run returns to real space.
     When a distance is exactly 0 (the fields never moved apart, as at a
     subnormal t_final) there is nothing to fit: "slope" and
     "halving_ratios" are then None.
     """
-    runs = [run_limit_comparison(k, 0.0, n=n, t_final=t_final, params=params)
+    params = params or PhysicalParams()
+    runs = [_limit_spectra(Momentum(k, 0.0), n, t_final, params)[0]
             for k in sorted(k0_values)]
     vcs = np.array([r["vc_scale"] for r in runs])
     distances = np.array([r["distance"] for r in runs])

@@ -70,6 +70,13 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_negative_box_is_named_before_default_field(self, capsys):
+        """The box is validated before the default --B is derived from it, so
+        a huge negative box is reported as such, not as an overflow."""
+        code, _, err = run_main(["landau", "--box=-1.7976931348623157e+308"], capsys)
+        assert code == 2
+        assert "box side must be positive" in err
+
     def test_subnormal_scale_exits_two(self, capsys):
         """c^2 = 8.08e-315 is subnormal: rejected as out of range, not left
         to flip the sign of the positive branch's metric norm."""
@@ -147,7 +154,7 @@ EVOLVE_DEFAULTS = {"--box": 1920.0, "--sigma": 80.0, "--k0x": 0.05, "--k0y": 0.0
 @example(EVOLVE_DEFAULTS | {"--k0x": 1e-300})  # scaling run's sigma^2 overflows: exit 2
 @example(EVOLVE_DEFAULTS | {"--k0x": 2.2e-308})  # scaling run's box is infinite: exit 2
 @example(EVOLVE_DEFAULTS | {"--time": 1e-320})  # distances vanish: scaling checks fail, exit 1
-@example(EVOLVE_DEFAULTS | {"--k0x": 3e-154, "--time": 1.0})  # numpy mesh square overflows: exit 2
+@example(EVOLVE_DEFAULTS | {"--k0x": 3e-154, "--time": 1.0})  # numpy packet-axis square overflows: exit 2
 def test_evolve_float_flags_keep_exit_contract(values):
     """Any finite float for the evolve flags (non-finite ones are rejected
     before dispatch), at grid 128, gives exit 0, 1 or 2 and never a traceback."""
@@ -166,6 +173,7 @@ def test_evolve_float_flags_keep_exit_contract(values):
 @example({"--B": None, "--box": 1e-300})  # default B divides by a squared box that is 0: exit 2
 @example({"--B": None, "--box": 1e200})  # default B squares an overflowing box: exit 2
 @example({"--B": 1e300, "--box": 20.0})  # magnetic length below 3 grid spacings: exit 2
+@example({"--B": None, "--box": -1.7976931348623157e+308})  # negative box refused first: exit 2
 def test_landau_float_flags_keep_exit_contract(values):
     """Any finite --B (or its default) and --box, at grid 32, gives exit 0, 1
     or 2 and never a traceback."""
@@ -310,7 +318,8 @@ class TestEvolveCommand:
         assert code == 0
         doc = json.loads(out)
         by_name = {c["name"]: c for c in doc["checks"]}
-        assert by_name["dirac vs schrodinger relative distance"]["measured"] < 1e-12
+        # U(0) and the kinetic phase are exactly 1, and nothing leaves Fourier space.
+        assert by_name["dirac vs schrodinger relative distance"]["measured"] == 0.0
 
     @pytest.mark.parametrize("t_final", ["1e-320", "1e-300"])
     def test_vanishing_distances_fail_with_reason(self, t_final, capsys):

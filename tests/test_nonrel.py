@@ -71,6 +71,18 @@ class TestGaussianPacket:
         assert f.norm == pytest.approx(1.0, abs=1e-12)
         assert nr.negative_branch_weight(f, NATURAL) < 1e-12
 
+    def test_matches_exponential_mesh(self):
+        """The separable packet equals the n^2 complex exponential of the
+        full envelope, normalized, off centre and with k0 off axis."""
+        grid = nr.Grid2D(64, 40.0)
+        center, k0, sigma = (1.5, -2.25), Momentum(0.3, -0.2), 3.0
+        f = nr.build_gaussian(grid, center, k0, sigma)
+        x, y = grid.meshes()
+        envelope = np.exp(-((x - center[0]) ** 2 + (y - center[1]) ** 2) / (4.0 * sigma**2)
+                          + 1j * (k0.kx * x + k0.ky * y))
+        reference = envelope / (np.sqrt(np.sum(np.abs(envelope) ** 2)) * grid.spacing)
+        assert np.abs(f.data - reference).max() < 1e-14 * np.abs(reference).max()
+
     def test_rejects_unresolvable_width(self):
         grid = nr.Grid2D(16, 16.0)
         with pytest.raises(nr.GridResolutionError, match="sigma"):
@@ -391,6 +403,31 @@ class TestCompareLimit:
         single = nr.run_limit_comparison(0.05, n=128, t_final=4.0)
         chunked = nr.run_limit_comparison(0.05, n=128, t_final=4.0, steps=4)
         assert single["distance"] == pytest.approx(chunked["distance"], abs=1e-10)
+
+    @pytest.mark.parametrize("steps", [1, 4])
+    def test_spectral_path_matches_public_api(self, steps):
+        """The suite's Fourier-space run gives the distance that the public
+        real-space calls give: build_gaussian, chunked evolve_dirac and
+        evolve_schrodinger, remove_rest_phase, compare_limit."""
+        n, t = 128, 10.0
+        k0_values = [0.05, 0.1]
+        reference = []
+        for k0 in k0_values:
+            sigma = 4.0 / k0
+            grid = nr.Grid2D(n, 24.0 * sigma)
+            schrod = nr.build_gaussian(grid, (0.0, 0.0), Momentum(k0, 0.0), sigma)
+            dirac = nr.WaveField(grid, np.stack([schrod.data, np.zeros_like(schrod.data)]))
+            for _ in range(steps):
+                dirac = nr.evolve_dirac(dirac, t / steps, NATURAL)
+                schrod = nr.evolve_schrodinger(schrod, t / steps, NATURAL)
+            dirac = nr.remove_rest_phase(dirac, t, NATURAL)
+            reference.append(nr.compare_limit(dirac, schrod))
+        fast = [nr.run_limit_comparison(k0, n=n, t_final=t, steps=steps)["distance"]
+                for k0 in k0_values]
+        if steps == 1:
+            fast += nr.limit_scaling_study(k0_values, n=n, t_final=t)["distances"]
+            reference += reference
+        assert fast == pytest.approx(reference, rel=1e-12, abs=0.0)
 
     def test_distance_is_dimensionless(self):
         """The same v/c and the same time in rest-energy units must give the
