@@ -1,8 +1,8 @@
 """Command-line front end: one subcommand per verification suite.
 
-Each subparser binds its suite as ``run_<suite>(report, args)``, so the parser
-alone declares each flag and its default.  ``main`` echoes every parsed flag
-into the report and times the suite, which adds checks and derived values.
+Subcommand ``<suite>`` runs ``run_<suite>(report, args)``, looked up at each call;
+the parser, built once per process and shared, alone declares each flag and
+its default.  ``main`` echoes every parsed flag into the report and times the suite.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 precondition error (a non-finite float flag, or inputs whose arithmetic
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 import time
@@ -358,6 +359,7 @@ def run_landau(report: RunReport, args: argparse.Namespace) -> None:
                                0.08 * args.tol_scale))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="planardirac",
@@ -371,8 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scale factor applied to every tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("algebra", help="Pauli/gamma/SO(2,1) identity checks").set_defaults(
-        run=run_algebra)
+    sub.add_parser("algebra", help="Pauli/gamma/SO(2,1) identity checks")
 
     p_spinor = sub.add_parser("spinor", help="plane-wave solution checks at one momentum")
     p_spinor.add_argument("--kx", type=float, default=0.0)
@@ -380,14 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_spinor.add_argument("--m", type=float, default=1.0)
     p_spinor.add_argument("--c", type=float, default=1.0)
     p_spinor.add_argument("--hbar", type=float, default=1.0)
-    p_spinor.set_defaults(run=run_spinor)
 
     p_fock = sub.add_parser("fock", help="second-quantization checks on 4^M states")
     p_fock.add_argument("--modes", type=int, default=2, metavar="M")
     p_fock.add_argument("--box", type=float, default=2.0 * np.pi)
     p_fock.add_argument("--literal-68", action="store_true",
                         help="also check the literal printed pair-number ordering")
-    p_fock.set_defaults(run=run_fock)
 
     p_evolve = sub.add_parser("evolve", help="Dirac vs Schrodinger comparison")
     p_evolve.add_argument("--grid", type=int, default=128)
@@ -400,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="split the evolution into this many applications")
     p_evolve.add_argument("--out", type=str, default=None,
                           help="directory for CSV and raw field snapshots")
-    p_evolve.set_defaults(run=run_evolve)
 
     p_landau = sub.add_parser("landau", help="Landau-level validation of minimal coupling")
     p_landau.add_argument("--B", type=float, default=None,
@@ -408,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_landau.add_argument("--grid", type=int, default=64)
     p_landau.add_argument("--box", type=float, default=20.0)
     p_landau.add_argument("--levels", type=int, default=3)
-    p_landau.set_defaults(run=run_landau)
 
     return parser
 
@@ -416,17 +413,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     flags = {dest: value for dest, value in vars(args).items()
-             if dest not in ("json", "command", "run")}
+             if dest not in ("json", "command")}
     try:
         for dest, value in flags.items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"--{dest.replace('_', '-')} must be finite, got {value}")
         if args.tol_scale <= 0:
             raise ValueError(f"--tol-scale must be finite and > 0, got {args.tol_scale}")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         report = RunReport(args.command, flags)
         start = time.perf_counter()
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            args.run(report, args)
+            globals()[f"run_{args.command}"](report, args)
         report.wall_seconds = time.perf_counter() - start
     except (ValueError, nonrel.GaugeFrameError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -106,7 +106,7 @@ def default_symmetric_modes(n_modes: int, box_side: float = 2.0 * np.pi,
                             params: PhysicalParams = None) -> ModeSet:
     """Momentum-symmetric ModeSet (every k paired with -k) of size n_modes."""
     if n_modes not in _DEFAULT_INTEGER_MODES:
-        raise CapacityError(f"no default mode pattern for M={n_modes} (max {M_MAX})")
+        raise CapacityError(f"no default mode pattern for M={n_modes}; M must be in 1..{M_MAX}")
     return ModeSet(_DEFAULT_INTEGER_MODES[n_modes], box_side, params or PhysicalParams())
 
 

@@ -52,12 +52,17 @@ class TestExitCodes:
         assert code == 2
         assert "magnetic length" in err
 
-    @pytest.mark.parametrize("argv", [["landau", "--levels", "0"],
-                                      ["evolve", "--steps", "0"]])
-    def test_zero_counts_exit_two(self, argv, capsys):
+    @pytest.mark.parametrize("argv,message", [
+        (["landau", "--levels", "0"], "must be >= 1"),
+        (["evolve", "--steps", "0"], "must be >= 1"),
+        (["--seed", "-1", "algebra"], "--seed must be >= 0, got -1"),
+        (["fock", "--modes", "0"], "M must be in 1..6"),
+    ], ids=["argv0", "argv1", "argv2", "argv3"])
+    def test_zero_counts_exit_two(self, argv, message, capsys):
+        """Counts, and the seed, below their lower end are misuse that names the bound."""
         code, _, err = run_main(argv, capsys)
         assert code == 2
-        assert "must be >= 1" in err
+        assert message in err
 
     @pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0"])
     def test_bad_tol_scale_exits_two(self, scale, capsys):
@@ -184,6 +189,35 @@ def test_landau_float_flags_keep_exit_contract(values):
         code = cli.main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+class TestRepeatedCalls:
+    def test_share_one_parser_and_leak_no_state(self, capsys):
+        """In-process calls reuse one parser; each starts from the declared
+        defaults, whatever the calls before it parsed, rejected or printed."""
+        assert cli.build_parser() is cli.build_parser()
+        code, out, _ = run_main(["--json", "spinor", "--kx=2", "--m", "3"], capsys)
+        assert code == 0
+        assert json.loads(out)["parameters"]["m"] == 3.0
+        for argv, exit_code in ((["spinor", "--kx", "abc"], 2), (["--help"], 0)):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(argv)
+            assert excinfo.value.code == exit_code
+        capsys.readouterr()
+
+        code, out, _ = run_main(["--json", "spinor"], capsys)
+        assert code == 0
+        in_process = json.loads(out)
+        defaults = {"kx": 0.0, "m": 1.0, "seed": 1234, "tol_scale": 1.0}
+        assert {key: in_process["parameters"][key] for key in defaults} == defaults
+        proc = subprocess.run(
+            [sys.executable, "-m", "planardirac.cli", "--json", "spinor"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        fresh = json.loads(proc.stdout)
+        in_process.pop("wall_seconds")
+        fresh.pop("wall_seconds")
+        assert in_process == fresh
 
 
 class TestJsonOutput:
