@@ -18,7 +18,9 @@ demonstrates by brute-force spatial integration.
 
 from __future__ import annotations
 
+import functools
 import operator
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,6 +183,103 @@ class FockOperator:
         return (self - self.dagger()).max_abs()
 
 
+def _rank_in_run(run_starts: np.ndarray) -> np.ndarray:
+    """Position of each element within its run; runs begin where run_starts is True."""
+    positions = np.arange(len(run_starts))
+    return positions - np.maximum.accumulate(np.where(run_starts, positions, 0))
+
+
+class OperatorSum:
+    """Linear combinations sum_g c_g (s_g1 O_g1 + s_g2 O_g2 + ...) of fixed
+    operators, each built as one CSR matrix.
+
+    ``groups`` lists, for each coefficient c_g, its members (s, O) with sign
+    s = +1 or -1.  One stable sort of every member's entries by position
+    fixes the union sparsity pattern and each group's inner sum; each call
+    then scales the inner sums and fills one data vector, instead of building
+    one matrix per ``out = out + c * op`` term.  Entries are rounded as that
+    term-by-term loop rounds them: members are added in order inside a
+    group, the scaled groups in order into the total, and entries that sum to
+    zero are dropped, so the result equals the loop
+    ``out = out + c_g * (s_g1 O_g1 + s_g2 O_g2 + ...)`` entry for entry.
+    """
+
+    def __init__(self, space: "FockSpace", groups):
+        # Weak: a space that caches a sum (``FockSpace.field_terms``) would
+        # otherwise form a cycle and outlive its last use until the next
+        # garbage collection.
+        self._space = weakref.ref(space)
+        self.n_groups = len(groups)
+        dim = space.dim
+        keys, values, owners = [], [], []
+        for g, group in enumerate(groups):
+            for sign, op in group:
+                if op.space is not space:
+                    raise ValueError("cannot combine operators from different FockSpaces")
+                if sign not in (1, -1):
+                    raise ValueError(f"member sign must be +1 or -1, got {sign!r}")
+                matrix = op.matrix
+                rows = np.repeat(np.arange(dim), np.diff(matrix.indptr))
+                keys.append(rows * dim + matrix.indices)
+                values.append(matrix.data if sign == 1 else -matrix.data)
+                owners.append(np.full(matrix.nnz, g))
+        # Stable: at each position, the entries stay in group and member order.
+        key = np.concatenate(keys)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        owner = np.concatenate(owners)[order]
+        value = np.concatenate(values)[order]
+        new_slot = np.concatenate(([True], key[1:] != key[:-1]))
+        new_pair = new_slot | np.concatenate(([True], owner[1:] != owner[:-1]))
+
+        merged = key[new_slot]
+        self._indices = (merged % dim).astype(np.int32)
+        self._indptr = np.searchsorted(merged, np.arange(dim + 1) * dim)
+
+        # One inner sum per (group, position) pair, its members added in order.
+        pair = np.cumsum(new_pair) - 1
+        member_rank = _rank_in_run(new_pair)
+        inner = value[new_pair]
+        for rank in range(1, member_rank.max() + 1):
+            inner[pair[member_rank == rank]] += value[member_rank == rank]
+
+        # Level L holds, for each position, the (L+1)-th group that touches
+        # it.  Levels are stored one after another, each in position order,
+        # so level 0 is the first n_slots pairs and covers every position once.
+        group_rank = _rank_in_run(new_slot[new_pair])
+        by_level = np.argsort(group_rank, kind="stable")
+        # Stored compactly, since a space keeps its field pattern: integer
+        # Jordan-Wigner sums are real, and group numbers are small.  Scaling
+        # widens them back exactly.
+        self._inner = (inner if inner.imag.any() else inner.real)[by_level]
+        self._group = owner[new_pair][by_level].astype(np.min_scalar_type(self.n_groups))
+        slot = (np.cumsum(new_slot) - 1)[new_pair][by_level]
+        bounds = np.searchsorted(group_rank[by_level], np.arange(1, group_rank.max() + 2))
+        self._levels = [(slot[start:stop], start, stop)
+                        for start, stop in zip(bounds[:-1], bounds[1:])]
+
+    def __call__(self, coefficients) -> FockOperator:
+        coefficients = np.asarray(coefficients, dtype=complex)
+        if coefficients.shape != (self.n_groups,):
+            raise ValueError(f"expected {self.n_groups} coefficients, got {coefficients.shape}")
+        scaled = coefficients[self._group] * self._inner
+        data = scaled[:len(self._indices)]
+        for slots, start, stop in self._levels:
+            data[slots] += scaled[start:stop]
+        indices, indptr = self._indices, self._indptr
+        dropped = np.flatnonzero(data == 0)
+        if len(dropped):
+            kept = np.ones(len(data), dtype=bool)
+            kept[dropped] = False
+            data, indices = data[kept], indices[kept]
+            indptr = indptr - np.searchsorted(dropped, indptr)
+        space = self._space()
+        # Copies: no result shares the pattern's index arrays.
+        matrix = sparse.csr_matrix((data, indices.copy(), indptr.copy()),
+                                   shape=(space.dim, space.dim))
+        return FockOperator(matrix, space)
+
+
 class FockSpace:
     """4^M-dimensional fermionic Fock space over a ModeSet.
 
@@ -204,6 +303,8 @@ class FockSpace:
         self.weights = 1 << (self.n_positions - 1 - np.arange(self.n_positions))
         self.occupation = ((np.arange(self.dim)[:, None] & self.weights) != 0).astype(np.int64)
         self._lowering = [self._lowering_matrix(j) for j in range(self.n_positions)]
+        self._raising = [FockOperator(m, self).dagger().matrix for m in self._lowering]
+        self._spinors = {}  # (branch, mode index) -> normalized spinor, filled on first use
 
     def _lowering_matrix(self, position: int):
         """Jordan-Wigner annihilator as CSR: row r, with the position empty,
@@ -232,7 +333,7 @@ class FockSpace:
         return FockOperator(self._lowering[self._position(species, index)], self)
 
     def creation(self, species: str, index: int) -> FockOperator:
-        return self.annihilation(species, index).dagger()
+        return FockOperator(self._raising[self._position(species, index)], self)
 
     def number(self, species: str, index: int) -> FockOperator:
         return self.creation(species, index) @ self.annihilation(species, index)
@@ -260,9 +361,26 @@ class FockSpace:
         return tuple(row[: self.n_modes]), tuple(row[self.n_modes:])
 
     def spinor(self, branch: Branch, index: int) -> np.ndarray:
-        k = self.modes.momenta[index]
-        raw = build_u(k, self.params) if branch is Branch.POSITIVE else build_v(k, self.params)
-        return normalize(raw, branch)
+        """Normalized spinor of one mode, computed on its first request; a
+        degenerate normalization raises at every request."""
+        key = (branch, index)
+        if key not in self._spinors:
+            k = self.modes.momenta[index]
+            raw = build_u(k, self.params) if branch is Branch.POSITIVE else build_v(k, self.params)
+            self._spinors[key] = normalize(raw, branch)
+        return self._spinors[key]
+
+    @functools.cached_property
+    def field_terms(self) -> OperatorSum:
+        """b_0, d_0', b_1, d_1', ...: the operators of one field component.
+
+        Column minus row is +2^j for b and -2^j for d', a different offset
+        for every term, so their supports are disjoint and each component of
+        the field is one data vector on this fixed pattern.
+        """
+        return OperatorSum(self, [
+            [(1, op)] for i in range(self.n_modes)
+            for op in (self.annihilation(ELECTRON, i), self.creation(POSITRON, i))])
 
 
 def build_space(modes: ModeSet) -> FockSpace:
@@ -281,8 +399,8 @@ def verify_ccr(space: FockSpace, tol: float = 1e-14) -> list[Check]:
     n = space.n_modes
     b = [space.annihilation(ELECTRON, i) for i in range(n)]
     d = [space.annihilation(POSITRON, i) for i in range(n)]
-    bd_ = [op.dagger() for op in b]
-    dd_ = [op.dagger() for op in d]
+    bd_ = [space.creation(ELECTRON, i) for i in range(n)]
+    dd_ = [space.creation(POSITRON, i) for i in range(n)]
     eye = space.identity()
 
     def worst(pairs):
@@ -312,15 +430,18 @@ def verify_ccr(space: FockSpace, tol: float = 1e-14) -> list[Check]:
     return records
 
 
+def _mode_energies(space: FockSpace) -> list[float]:
+    """hbar * w(k) of every mode, in mode order."""
+    return [space.params.hbar * space.modes.omega(i) for i in range(space.n_modes)]
+
+
 def hamiltonian(space: FockSpace) -> FockOperator:
     """H = sum_k hbar*w(k) (b'b - d d'); Hermitian but unbounded below."""
-    hbar = space.params.hbar
-    out = space.zero()
-    for i in range(space.n_modes):
-        b = space.annihilation(ELECTRON, i)
-        d = space.annihilation(POSITRON, i)
-        out = out + (hbar * space.modes.omega(i)) * (b.dagger() @ b - d @ d.dagger())
-    return out
+    terms = OperatorSum(space, [
+        [(1, space.creation(ELECTRON, i) @ space.annihilation(ELECTRON, i)),
+         (-1, space.annihilation(POSITRON, i) @ space.creation(POSITRON, i))]
+        for i in range(space.n_modes)])
+    return terms(_mode_energies(space))
 
 
 def normal_ordered_hamiltonian(space: FockSpace) -> FockOperator:
@@ -329,13 +450,10 @@ def normal_ordered_hamiltonian(space: FockSpace) -> FockOperator:
     Normal ordering drops the constant sum_k hbar*w(k), the Kronecker-form
     counterpart of the discarded zero-momentum delta.
     """
-    hbar = space.params.hbar
-    out = space.zero()
-    for i in range(space.n_modes):
-        out = out + (hbar * space.modes.omega(i)) * (
-            space.number(ELECTRON, i) + space.number(POSITRON, i)
-        )
-    return out
+    terms = OperatorSum(space, [
+        [(1, space.number(ELECTRON, i)), (1, space.number(POSITRON, i))]
+        for i in range(space.n_modes)])
+    return terms(_mode_energies(space))
 
 
 def occupation_spectrum(space: FockSpace) -> np.ndarray:
@@ -356,8 +474,8 @@ def field_operator(space: FockSpace, r, t: float, time_derivative: bool = False)
     """
     x, y = r
     length = space.modes.box_side
-    upper = space.zero()
-    lower = space.zero()
+    upper = []  # coefficients of b_0, d_0', b_1, d_1', ... (space.field_terms)
+    lower = []
     for i in range(space.n_modes):
         k = space.modes.momenta[i]
         w = space.modes.omega(i)
@@ -366,11 +484,9 @@ def field_operator(space: FockSpace, r, t: float, time_derivative: bool = False)
             phase *= -1j * w
         u = space.spinor(Branch.POSITIVE, i)
         v = space.spinor(Branch.NEGATIVE, i)
-        b = space.annihilation(ELECTRON, i)
-        d_dag = space.creation(POSITRON, i)
-        upper = upper + (phase * u[0]) * b + (phase * v[0]) * d_dag
-        lower = lower + (phase * u[1]) * b + (phase * v[1]) * d_dag
-    return upper, lower
+        upper += [phase * u[0], phase * v[0]]
+        lower += [phase * u[1], phase * v[1]]
+    return space.field_terms(upper), space.field_terms(lower)
 
 
 @dataclass
@@ -507,18 +623,17 @@ def pair_number_operator(space: FockSpace, index: int, literal: bool = False) ->
 
 def total_pair_number(space: FockSpace) -> FockOperator:
     """Sum of the per-momentum pair counters over every mode."""
-    out = space.zero()
-    for i in range(space.n_modes):
-        out = out + pair_number_operator(space, i)
-    return out
+    terms = OperatorSum(space, [[(1, pair_number_operator(space, i))]
+                                for i in range(space.n_modes)])
+    return terms([1] * space.n_modes)
 
 
 def charge_operator(space: FockSpace) -> FockOperator:
     """Q = sum_k (b'b - d'd), electron number minus positron number."""
-    out = space.zero()
-    for i in range(space.n_modes):
-        out = out + space.number(ELECTRON, i) - space.number(POSITRON, i)
-    return out
+    terms = OperatorSum(space, [
+        [(1, space.number(ELECTRON, i)), (-1, space.number(POSITRON, i))]
+        for i in range(space.n_modes)])
+    return terms([1] * space.n_modes)
 
 
 def pair_commutator_check(space: FockSpace, index: int, index_prime: int,

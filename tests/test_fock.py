@@ -10,7 +10,8 @@ from scipy import sparse
 
 from planardirac import fock
 from planardirac.fock import ELECTRON, POSITRON
-from planardirac.planewave import Branch
+from planardirac.planewave import (
+    Branch, DegenerateNormalizationError, build_u, build_v, normalize)
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +131,17 @@ class TestOperatorBasics:
                 assert op.nnz == reference.nnz == space.dim // 2
                 assert (op != reference).nnz == 0, (species, i)
 
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5, 6])
+    def test_creation_is_the_adjoint_of_annihilation(self, n_modes):
+        """The cached creators equal the annihilators' adjoints entry for entry."""
+        space = fock.build_space(fock.default_symmetric_modes(n_modes))
+        for species in (ELECTRON, POSITRON):
+            for i in range(n_modes):
+                creator = space.creation(species, i).matrix
+                adjoint = space.annihilation(species, i).dagger().matrix
+                assert creator.nnz == adjoint.nnz
+                assert (creator != adjoint).nnz == 0, (species, i)
+
     def test_csr_storage_at_every_mode_count(self):
         for n_modes, index in ((1, 0), (5, 3)):
             space = fock.build_space(fock.default_symmetric_modes(n_modes))
@@ -224,6 +236,99 @@ class TestHamiltonian:
         assert np.abs(diag - enumerated).max() < 1e-12
 
 
+def _field_reference(space, r, t, time_derivative):
+    """The field operator built term by term with FockOperator * and +, from
+    spinors normalized here rather than taken from the space."""
+    x, y = r
+    length = space.modes.box_side
+    upper, lower = space.zero(), space.zero()
+    for i in range(space.n_modes):
+        k = space.modes.momenta[i]
+        w = space.modes.omega(i)
+        phase = np.exp(1j * (k.kx * x + k.ky * y - w * t)) / length
+        if time_derivative:
+            phase *= -1j * w
+        u = normalize(build_u(k, space.params), Branch.POSITIVE)
+        v = normalize(build_v(k, space.params), Branch.NEGATIVE)
+        b = space.annihilation(ELECTRON, i)
+        d_dag = space.annihilation(POSITRON, i).dagger()
+        upper = upper + (phase * u[0]) * b + (phase * v[0]) * d_dag
+        lower = lower + (phase * u[1]) * b + (phase * v[1]) * d_dag
+    return upper, lower
+
+
+def _sum_references(space):
+    """H, H', total pair number and charge, each summed term by term."""
+    hbar = space.params.hbar
+    ham, ham_prime, pairs, charge = space.zero(), space.zero(), space.zero(), space.zero()
+    for i in range(space.n_modes):
+        energy = hbar * space.modes.omega(i)
+        b = space.annihilation(ELECTRON, i)
+        d = space.annihilation(POSITRON, i)
+        n_b = b.dagger() @ b
+        n_d = d.dagger() @ d
+        ham = ham + energy * (n_b - d @ d.dagger())
+        ham_prime = ham_prime + energy * (n_b + n_d)
+        pairs = pairs + fock.pair_number_operator(space, i)
+        charge = charge + n_b - n_d
+    return {"H": ham, "H'": ham_prime, "pairs": pairs, "charge": charge}
+
+
+def _identical(op, reference):
+    """Same stored entries with the same values (explicit zeros count)."""
+    return op.matrix.nnz == reference.matrix.nnz and (op.matrix != reference.matrix).nnz == 0
+
+
+class TestOneBuildSums:
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+    @pytest.mark.parametrize("time_derivative", [False, True])
+    def test_field_operator_equals_term_by_term(self, n_modes, time_derivative):
+        space = fock.build_space(fock.default_symmetric_modes(n_modes))
+        length = space.modes.box_side
+        for r, t in (((0.0, 0.0), 0.0), ((0.3 * length, -0.45 * length), 0.7),
+                     ((0.81 * length, 0.12 * length), -2.5)):
+            built = fock.field_operator(space, r, t, time_derivative=time_derivative)
+            reference = _field_reference(space, r, t, time_derivative)
+            for component, expected in zip(built, reference):
+                assert (component - expected).max_abs() <= 1e-16, (r, t)
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    def test_operator_sums_equal_term_by_term(self, n_modes):
+        space = fock.build_space(fock.default_symmetric_modes(n_modes))
+        built = {"H": fock.hamiltonian(space), "H'": fock.normal_ordered_hamiltonian(space),
+                 "pairs": fock.total_pair_number(space), "charge": fock.charge_operator(space)}
+        for name, reference in _sum_references(space).items():
+            assert _identical(built[name], reference), name
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5, 6])
+    def test_normal_ordered_diagonal_is_the_enumeration_bit_for_bit(self, n_modes):
+        space = fock.build_space(fock.default_symmetric_modes(n_modes))
+        assert np.array_equal(fock.normal_ordered_hamiltonian(space).diagonal().real,
+                              fock.occupation_spectrum(space))
+
+    def test_groups_add_members_before_scaling(self, space2):
+        """c * (A - A) drops out entirely; groups add in order, complex
+        members included; the result keeps no explicit zeros."""
+        b = space2.annihilation(ELECTRON, 0)
+        n_b = space2.number(ELECTRON, 0)
+        twisted = (0.5 + 0.25j) * b
+        terms = fock.OperatorSum(
+            space2, [[(1, n_b), (-1, n_b)], [(1, b)], [(1, n_b)], [(-1, twisted)]])
+        built = terms([0.7, 2.0, 1.0 / 3.0, 0.1 - 0.3j])
+        assert _identical(built, 2.0 * b + (1.0 / 3.0) * n_b + (0.1 - 0.3j) * (-twisted))
+        assert np.all(built.matrix.data != 0)
+        assert terms([1.0, 0.0, 0.0, 0.0]).matrix.nnz == 0
+
+    def test_rejects_wrong_coefficients_signs_and_spaces(self, space1, space2):
+        n_b = space2.number(ELECTRON, 0)
+        with pytest.raises(ValueError, match="coefficients"):
+            fock.OperatorSum(space2, [[(1, n_b)]])([1.0, 2.0])
+        with pytest.raises(ValueError, match="sign"):
+            fock.OperatorSum(space2, [[(2, n_b)]])
+        with pytest.raises(ValueError, match="different FockSpaces"):
+            fock.OperatorSum(space1, [[(1, n_b)]])
+
+
 class TestFieldOperator:
     def test_rest_mode_components(self, space1):
         """At k = 0 and t = 0 the field is b/L in the upper slot, d'/L in the lower."""
@@ -242,6 +347,19 @@ class TestFieldOperator:
             float(np.sum(np.abs(space2.spinor(Branch.NEGATIVE, i)) ** 2))
             for i in range(2)) / length**2
         assert measured == pytest.approx(expected, rel=1e-12)
+
+    def test_spinors_are_computed_once_and_degenerate_ones_raise_on_use(self):
+        """A box so small that mode (1, 0) is ultra-relativistic: its spinor
+        raises at every request and the field operator raises, while the
+        rest mode's spinor is computed once and reused."""
+        space = fock.build_space(fock.ModeSet(((0, 0), (1, 0)), 1e-12))
+        rest = space.spinor(Branch.POSITIVE, 0)
+        assert space.spinor(Branch.POSITIVE, 0) is rest
+        for _ in range(2):
+            with pytest.raises(DegenerateNormalizationError):
+                space.spinor(Branch.POSITIVE, 1)
+        with pytest.raises(DegenerateNormalizationError):
+            fock.field_operator(space, (0.0, 0.0), 0.0)
 
     def test_hamiltonian_from_field_integral(self):
         """Spatial integration of the field bilinear reproduces the
