@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import operator
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,103 +182,6 @@ class FockOperator:
         return (self - self.dagger()).max_abs()
 
 
-def _rank_in_run(run_starts: np.ndarray) -> np.ndarray:
-    """Position of each element within its run; runs begin where run_starts is True."""
-    positions = np.arange(len(run_starts))
-    return positions - np.maximum.accumulate(np.where(run_starts, positions, 0))
-
-
-class OperatorSum:
-    """Linear combinations sum_g c_g (s_g1 O_g1 + s_g2 O_g2 + ...) of fixed
-    operators, each built as one CSR matrix.
-
-    ``groups`` lists, for each coefficient c_g, its members (s, O) with sign
-    s = +1 or -1.  One stable sort of every member's entries by position
-    fixes the union sparsity pattern and each group's inner sum; each call
-    then scales the inner sums and fills one data vector, instead of building
-    one matrix per ``out = out + c * op`` term.  Entries are rounded as that
-    term-by-term loop rounds them: members are added in order inside a
-    group, the scaled groups in order into the total, and entries that sum to
-    zero are dropped, so the result equals the loop
-    ``out = out + c_g * (s_g1 O_g1 + s_g2 O_g2 + ...)`` entry for entry.
-    """
-
-    def __init__(self, space: "FockSpace", groups):
-        # Weak: a space that caches a sum (``FockSpace.field_terms``) would
-        # otherwise form a cycle and outlive its last use until the next
-        # garbage collection.
-        self._space = weakref.ref(space)
-        self.n_groups = len(groups)
-        dim = space.dim
-        keys, values, owners = [], [], []
-        for g, group in enumerate(groups):
-            for sign, op in group:
-                if op.space is not space:
-                    raise ValueError("cannot combine operators from different FockSpaces")
-                if sign not in (1, -1):
-                    raise ValueError(f"member sign must be +1 or -1, got {sign!r}")
-                matrix = op.matrix
-                rows = np.repeat(np.arange(dim), np.diff(matrix.indptr))
-                keys.append(rows * dim + matrix.indices)
-                values.append(matrix.data if sign == 1 else -matrix.data)
-                owners.append(np.full(matrix.nnz, g))
-        # Stable: at each position, the entries stay in group and member order.
-        key = np.concatenate(keys)
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        owner = np.concatenate(owners)[order]
-        value = np.concatenate(values)[order]
-        new_slot = np.concatenate(([True], key[1:] != key[:-1]))
-        new_pair = new_slot | np.concatenate(([True], owner[1:] != owner[:-1]))
-
-        merged = key[new_slot]
-        self._indices = (merged % dim).astype(np.int32)
-        self._indptr = np.searchsorted(merged, np.arange(dim + 1) * dim)
-
-        # One inner sum per (group, position) pair, its members added in order.
-        pair = np.cumsum(new_pair) - 1
-        member_rank = _rank_in_run(new_pair)
-        inner = value[new_pair]
-        for rank in range(1, member_rank.max() + 1):
-            inner[pair[member_rank == rank]] += value[member_rank == rank]
-
-        # Level L holds, for each position, the (L+1)-th group that touches
-        # it.  Levels are stored one after another, each in position order,
-        # so level 0 is the first n_slots pairs and covers every position once.
-        group_rank = _rank_in_run(new_slot[new_pair])
-        by_level = np.argsort(group_rank, kind="stable")
-        # Stored compactly, since a space keeps its field pattern: integer
-        # Jordan-Wigner sums are real, and group numbers are small.  Scaling
-        # widens them back exactly.
-        self._inner = (inner if inner.imag.any() else inner.real)[by_level]
-        self._group = owner[new_pair][by_level].astype(np.min_scalar_type(self.n_groups))
-        slot = (np.cumsum(new_slot) - 1)[new_pair][by_level]
-        bounds = np.searchsorted(group_rank[by_level], np.arange(1, group_rank.max() + 2))
-        self._levels = [(slot[start:stop], start, stop)
-                        for start, stop in zip(bounds[:-1], bounds[1:])]
-
-    def __call__(self, coefficients) -> FockOperator:
-        coefficients = np.asarray(coefficients, dtype=complex)
-        if coefficients.shape != (self.n_groups,):
-            raise ValueError(f"expected {self.n_groups} coefficients, got {coefficients.shape}")
-        scaled = coefficients[self._group] * self._inner
-        data = scaled[:len(self._indices)]
-        for slots, start, stop in self._levels:
-            data[slots] += scaled[start:stop]
-        indices, indptr = self._indices, self._indptr
-        dropped = np.flatnonzero(data == 0)
-        if len(dropped):
-            kept = np.ones(len(data), dtype=bool)
-            kept[dropped] = False
-            data, indices = data[kept], indices[kept]
-            indptr = indptr - np.searchsorted(dropped, indptr)
-        space = self._space()
-        # Copies: no result shares the pattern's index arrays.
-        matrix = sparse.csr_matrix((data, indices.copy(), indptr.copy()),
-                                   shape=(space.dim, space.dim))
-        return FockOperator(matrix, space)
-
-
 class FockSpace:
     """4^M-dimensional fermionic Fock space over a ModeSet.
 
@@ -371,16 +273,23 @@ class FockSpace:
         return self._spinors[key]
 
     @functools.cached_property
-    def field_terms(self) -> OperatorSum:
-        """b_0, d_0', b_1, d_1', ...: the operators of one field component.
+    def _field_pattern(self):
+        """CSR pattern of b_0, d_0', b_1, d_1', ...: the 2M operators of one
+        field component, as (column indices, row pointers, term number of
+        each stored entry, its +-1 value).
 
         Column minus row is +2^j for b and -2^j for d', a different offset
         for every term, so their supports are disjoint and each component of
-        the field is one data vector on this fixed pattern.
+        the field is one data vector on this fixed pattern.  Plain arrays:
+        the pattern holds no reference back to the space.
         """
-        return OperatorSum(self, [
-            [(1, op)] for i in range(self.n_modes)
-            for op in (self.annihilation(ELECTRON, i), self.creation(POSITRON, i))])
+        n = self.n_modes
+        terms = [m for i in range(n) for m in (self._lowering[i], self._raising[n + i])]
+        # Disjoint supports: each stored entry of the sum is +-(term number + 1),
+        # kept as small integers since the space holds the pattern.
+        encoded = functools.reduce(operator.add, [(t + 1) * m.real for t, m in enumerate(terms)])
+        signed_term = encoded.data.astype(np.int8)
+        return encoded.indices, encoded.indptr, np.abs(signed_term) - 1, np.sign(signed_term)
 
 
 def build_space(modes: ModeSet) -> FockSpace:
@@ -411,6 +320,14 @@ def verify_ccr(space: FockSpace, tol: float = 1e-14) -> list[Check]:
     def add(name, deviations):
         records.append(bound_check(name, worst(deviations), tol, dimension=space.dim))
 
+    def delta_deviations(lowering, raising):
+        deviations = []
+        for i in range(n):
+            for j in range(n):
+                ac = anticommutator(lowering[i], raising[j])
+                deviations.append((ac - eye if i == j else ac).max_abs())
+        return deviations
+
     add("{b,b} = 0", [anticommutator(b[i], b[j]).max_abs() for i in range(n) for j in range(i, n)])
     add("{d,d} = 0", [anticommutator(d[i], d[j]).max_abs() for i in range(n) for j in range(i, n)])
     add("{b,d} = 0", [anticommutator(b[i], d[j]).max_abs() for i in range(n) for j in range(n)])
@@ -419,14 +336,8 @@ def verify_ccr(space: FockSpace, tol: float = 1e-14) -> list[Check]:
     add("{b+,d+} = 0", [anticommutator(bd_[i], dd_[j]).max_abs() for i in range(n) for j in range(n)])
     add("{b,d+} = 0", [anticommutator(b[i], dd_[j]).max_abs() for i in range(n) for j in range(n)])
     add("{d,b+} = 0", [anticommutator(d[i], bd_[j]).max_abs() for i in range(n) for j in range(n)])
-    add("{b,b+} = delta", [
-        (anticommutator(b[i], bd_[j]) - (eye if i == j else space.zero())).max_abs()
-        for i in range(n) for j in range(n)
-    ])
-    add("{d,d+} = delta", [
-        (anticommutator(d[i], dd_[j]) - (eye if i == j else space.zero())).max_abs()
-        for i in range(n) for j in range(n)
-    ])
+    add("{b,b+} = delta", delta_deviations(b, bd_))
+    add("{d,d+} = delta", delta_deviations(d, dd_))
     return records
 
 
@@ -437,11 +348,11 @@ def _mode_energies(space: FockSpace) -> list[float]:
 
 def hamiltonian(space: FockSpace) -> FockOperator:
     """H = sum_k hbar*w(k) (b'b - d d'); Hermitian but unbounded below."""
-    terms = OperatorSum(space, [
-        [(1, space.creation(ELECTRON, i) @ space.annihilation(ELECTRON, i)),
-         (-1, space.annihilation(POSITRON, i) @ space.creation(POSITRON, i))]
-        for i in range(space.n_modes)])
-    return terms(_mode_energies(space))
+    out = space.zero()
+    for i, energy in enumerate(_mode_energies(space)):
+        out = out + energy * (space.creation(ELECTRON, i) @ space.annihilation(ELECTRON, i)
+                              - space.annihilation(POSITRON, i) @ space.creation(POSITRON, i))
+    return out
 
 
 def normal_ordered_hamiltonian(space: FockSpace) -> FockOperator:
@@ -450,10 +361,10 @@ def normal_ordered_hamiltonian(space: FockSpace) -> FockOperator:
     Normal ordering drops the constant sum_k hbar*w(k), the Kronecker-form
     counterpart of the discarded zero-momentum delta.
     """
-    terms = OperatorSum(space, [
-        [(1, space.number(ELECTRON, i)), (1, space.number(POSITRON, i))]
-        for i in range(space.n_modes)])
-    return terms(_mode_energies(space))
+    out = space.zero()
+    for i, energy in enumerate(_mode_energies(space)):
+        out = out + energy * (space.number(ELECTRON, i) + space.number(POSITRON, i))
+    return out
 
 
 def occupation_spectrum(space: FockSpace) -> np.ndarray:
@@ -474,7 +385,7 @@ def field_operator(space: FockSpace, r, t: float, time_derivative: bool = False)
     """
     x, y = r
     length = space.modes.box_side
-    upper = []  # coefficients of b_0, d_0', b_1, d_1', ... (space.field_terms)
+    upper = []  # coefficients of b_0, d_0', b_1, d_1', ... (space._field_pattern)
     lower = []
     for i in range(space.n_modes):
         k = space.modes.momenta[i]
@@ -486,7 +397,17 @@ def field_operator(space: FockSpace, r, t: float, time_derivative: bool = False)
         v = space.spinor(Branch.NEGATIVE, i)
         upper += [phase * u[0], phase * v[0]]
         lower += [phase * u[1], phase * v[1]]
-    return space.field_terms(upper), space.field_terms(lower)
+    indices, indptr, term, value = space._field_pattern
+    components = []
+    for coefficients in (upper, lower):
+        # Copied, so that no result shares the pattern's index arrays.
+        matrix = sparse.csr_matrix((np.asarray(coefficients)[term] * value, indices, indptr),
+                                   shape=(space.dim, space.dim), copy=True)
+        # Entries of a zero coefficient (v = 0 at k = 0) are dropped, as a
+        # sum of CSR matrices drops them.
+        matrix.eliminate_zeros()
+        components.append(FockOperator(matrix, space))
+    return tuple(components)
 
 
 @dataclass
@@ -623,17 +544,18 @@ def pair_number_operator(space: FockSpace, index: int, literal: bool = False) ->
 
 def total_pair_number(space: FockSpace) -> FockOperator:
     """Sum of the per-momentum pair counters over every mode."""
-    terms = OperatorSum(space, [[(1, pair_number_operator(space, i))]
-                                for i in range(space.n_modes)])
-    return terms([1] * space.n_modes)
+    out = space.zero()
+    for i in range(space.n_modes):
+        out = out + pair_number_operator(space, i)
+    return out
 
 
 def charge_operator(space: FockSpace) -> FockOperator:
     """Q = sum_k (b'b - d'd), electron number minus positron number."""
-    terms = OperatorSum(space, [
-        [(1, space.number(ELECTRON, i)), (-1, space.number(POSITRON, i))]
-        for i in range(space.n_modes)])
-    return terms([1] * space.n_modes)
+    out = space.zero()
+    for i in range(space.n_modes):
+        out = out + space.number(ELECTRON, i) - space.number(POSITRON, i)
+    return out
 
 
 def pair_commutator_check(space: FockSpace, index: int, index_prime: int,
