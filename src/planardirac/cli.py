@@ -326,12 +326,26 @@ def run_evolve(report: RunReport, args: argparse.Namespace) -> None:
 
 
 _INERTIA = "eigenvalues below the shift (Sylvester inertia)"
+_COMMUTES = "rotation R commutes with H (C4 sectors)"
 
 
 def _inertia_check(name: str, result: dict, exact: float) -> Check:
     if result["below_shift"] is None:
         return failed_check(name, "SuperLU pivoted off the diagonal: inertia unknown")
     return bound_check(name, result["below_shift"], exact)
+
+
+def _add_solve_checks(report: RunReport, suffix: str, result: dict,
+                      exact: float) -> bool:
+    """The C4 commutator and inertia checks of one Landau solve; False when
+    R does not commute with H, so no sector was solved."""
+    if result["levels"] is None:
+        report.add(Check(_COMMUTES + suffix, result["commutator"],
+                         "0: the C4 sectors were not solved", 0.0, False))
+        return False
+    report.add(bound_check(_COMMUTES + suffix, result["commutator"], exact))
+    report.add(_inertia_check(_INERTIA + suffix, result, exact))
+    return True
 
 
 def run_landau(report: RunReport, args: argparse.Namespace) -> None:
@@ -345,14 +359,16 @@ def run_landau(report: RunReport, args: argparse.Namespace) -> None:
     result = nonrel.landau_levels(b_field, grid, params, n_levels=args.levels)
     report.parameters.update(B=b_field, magnetic_length=result["magnetic_length"],
                              level_energies=result["levels"], expected=result["expected"])
-    report.add(_inertia_check(_INERTIA, result, exact))
+    if not _add_solve_checks(report, "", result, exact):
+        return
     for j, err in enumerate(result["relative_errors"]):
         report.add(bound_check(f"level {j} vs hbar*w_c*(n+1/2)", err, 0.02 * args.tol_scale))
 
     doubled_length = result["magnetic_length"] / np.sqrt(2.0)
     if doubled_length >= 3.0 * grid.spacing and args.levels >= 2:
         doubled = nonrel.landau_levels(2.0 * b_field, grid, params, n_levels=2)
-        report.add(_inertia_check(f"{_INERTIA}, B doubled", doubled, exact))
+        if not _add_solve_checks(report, ", B doubled", doubled, exact):
+            return
         ratio = ((doubled["levels"][1] - doubled["levels"][0])
                  / (result["levels"][1] - result["levels"][0]))
         report.add(value_check("spacing ratio when B doubles", ratio, 2.0,

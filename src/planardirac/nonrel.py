@@ -520,6 +520,46 @@ def _landau_hamiltonian(b_field: float, grid: Grid2D,
     ).tocsr()
 
 
+def _rotation_orbits(n: int) -> np.ndarray:
+    """Flat indices (i*n + j) of the orbits of the 90-degree rotation
+    R: (i, j) -> (n-1-j, i) on an even n x n grid, shape (4, n*n/4).
+
+    Row r is R^r applied to the lower-left quadrant, so column q holds the
+    orbit of quadrant cell q: four distinct cells at one distance from the
+    centre, and every cell of the grid lies in exactly one orbit.
+    """
+    half = n // 2
+    i, j = (a.ravel() for a in np.meshgrid(np.arange(half), np.arange(half),
+                                            indexing="ij"))
+    rows = []
+    for _ in range(4):
+        rows.append(i * n + j)
+        i, j = n - 1 - j, i
+    return np.array(rows)
+
+
+def _rotation_commutator(ham: sparse.csr_matrix, orbits: np.ndarray) -> float:
+    """max|R H - H R| / max|H| for the permutation R e_c = e_{Rc}.
+
+    R H - H R = R (H - R^T H R), and (R^T H R)[c, c'] = H[Rc, Rc'], so this
+    compares H with itself re-indexed by the rotation.
+    """
+    rotate = np.empty(ham.shape[0], dtype=int)
+    rotate[orbits] = np.roll(orbits, -1, axis=0)
+    diff = ham[rotate][:, rotate] - ham
+    return float(np.abs(diff.data).max(initial=0.0) / np.abs(ham.data).max())
+
+
+def _sector_basis(orbits: np.ndarray, m: int) -> sparse.csr_matrix:
+    """V_m: column q is (1/2) sum_r i^(-m r) e_{R^r c_q}, the unit vector of
+    orbit q on which R acts as i^m."""
+    size = orbits.shape[1]
+    phases = np.array([1.0, -1j, -1.0, 1j])[(m * np.arange(4)) % 4]  # i^(-m r)
+    return sparse.csr_matrix((np.repeat(0.5 * phases, size),
+                              (orbits.ravel(), np.tile(np.arange(size), 4))),
+                             shape=(orbits.size, size))
+
+
 def _lowest_eigenpairs(ham: sparse.csr_matrix, k: int):
     """The k eigenpairs of Hermitian ham nearest 0: its k lowest when it is
     positive definite, which the returned below_shift == 0 proves.
@@ -534,9 +574,9 @@ def _lowest_eigenpairs(ham: sparse.csr_matrix, k: int):
     count, or None when SuperLU pivoted off the diagonal and it is unknown.
 
     ARPACK starts from a fixed-seed complex Gaussian, so repeated solves agree
-    bit for bit.  A structured start (all ones) would not do: it is C4-symmetric
-    on the symmetric-gauge square box, and its Krylov space would miss the
-    other symmetry sectors.
+    bit for bit.  The Landau solve calls this once per C4 rotation sector
+    (_sector_lowest), each block holding one eigenvalue i^m of the rotation,
+    so no start vector has to reach across sectors.
     """
     lu = splu(ham.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
               options=dict(SymmetricMode=True))
@@ -549,6 +589,43 @@ def _lowest_eigenpairs(ham: sparse.csr_matrix, k: int):
     values, vectors = eigsh(ham, k=k, sigma=0.0, which="LM", OPinv=inverse, v0=start)
     order = np.argsort(values)
     return values[order], vectors[:, order], below_shift
+
+
+def _sector_lowest(ham: sparse.csr_matrix, orbits: np.ndarray, k: int,
+                   k_sector: int):
+    """The k lowest eigenvalues of ham, which commutes with the rotation R,
+    solved as four blocks H_m = V_m^H ham V_m of dimension n*n/4.
+
+    Each block gives its k_sector lowest pairs (_lowest_eigenpairs).  With
+    tau the smallest of the four blocks' largest returned values, every
+    eigenvalue of ham below tau has been returned, so the k lowest of the
+    union are certified once at least k of them lie below tau.  Until then
+    k_sector doubles, up to n*n/4 - 2; at that cap the values below tau are
+    returned, fewer than k.
+
+    Returns (values ascending, weights, below_shift).  weights[q, i] is
+    |c_q|^2 for the i-th vector's amplitude c_q on orbit q, so the mean of
+    a function constant on orbits is (its quadrant values) @ weights.
+    below_shift sums the four blocks' inertia counts, or is None when one
+    is unknown.
+    """
+    blocks = [(basis.conj().T @ ham @ basis).tocsr()
+              for basis in (_sector_basis(orbits, m) for m in range(4))]
+    cap = orbits.shape[1] - 2
+    k_sector = min(k_sector, cap)
+    while True:
+        solves = [_lowest_eigenpairs(block, k_sector) for block in blocks]
+        tau = min(values[-1] for values, _, _ in solves)
+        values = np.concatenate([values for values, _, _ in solves])
+        order = np.argsort(values, kind="stable")
+        certified = order[values[order] < tau][:k]
+        if certified.size == k or k_sector == cap:
+            break
+        k_sector = min(2 * k_sector, cap)
+    weights = np.hstack([np.abs(vectors) ** 2 for _, vectors, _ in solves])
+    counts = [count for _, _, count in solves]
+    below_shift = None if None in counts else sum(counts)
+    return values[certified], weights[:, certified], below_shift
 
 
 def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = None,
@@ -564,11 +641,21 @@ def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = None,
     compact member, the state least touched by the wall and the lattice.
     Bulk levels should match hbar*w_c*(n + 1/2) with w_c = e B / m.
 
-    The operator is non-negative with its lowest level at hbar*w_c/2, so the
-    eigensolve shifts and inverts at 0, below the spectrum in any units.
-    "below_shift" is the number of eigenvalues at or below that shift, read
-    off the factorization (0 proves the solve returned the lowest states; see
-    _lowest_eigenpairs), or None when the factorization cannot tell.
+    The symmetric-gauge square box is symmetric under the 90-degree rotation
+    R, so H splits into four blocks, one per eigenvalue i^m of R, each of a
+    quarter of the dimension; _sector_lowest solves them and certifies that
+    their union holds the lowest eigenvalues of H.  "commutator" is
+    max|R H - H R| / max|H|.  The split is valid only when it is 0; otherwise
+    no block is solved and "levels", "relative_errors" and "below_shift" are
+    None.  All four orbit cells lie at one radius, so each state's mean
+    radius comes from its orbit weights without mapping it back to the grid.
+
+    The operator is non-negative with its lowest level at hbar*w_c/2, so each
+    block is shifted and inverted at 0, below the spectrum in any units.
+    "below_shift" is the number of eigenvalues at or below that shift, summed
+    over the blocks and read off their factorizations (0 proves the solves
+    returned the lowest states; see _lowest_eigenpairs), or None when a
+    factorization cannot tell.
     """
     params = params or PhysicalParams()
     if b_field <= 0:
@@ -584,16 +671,37 @@ def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = None,
         )
     n = grid.n
     ham = _landau_hamiltonian(b_field, grid, params)
+    orbits = _rotation_orbits(n)
+    cyclotron = params.e * b_field / params.m
+    expected = [params.hbar * cyclotron * (j + 0.5) for j in range(n_levels)]
+    out = {
+        "expected": expected,
+        "magnetic_length": float(magnetic_length),
+        "commutator": _rotation_commutator(ham, orbits),
+    }
+    if out["commutator"] != 0.0:
+        return out | {"levels": None, "relative_errors": None, "below_shift": None}
 
     degeneracy = grid.length**2 / (2.0 * np.pi * magnetic_length**2)
     k = min(int(np.ceil(n_levels * degeneracy + 3 * n_levels + 10)), n * n - 2)
-    values, vectors, below_shift = _lowest_eigenpairs(ham, k)
+    values, weights, below_shift = _sector_lowest(ham, orbits, k, -(-k // 4) + 6)
 
     x = _cell_centers(grid)
     grid_x, grid_y = np.meshgrid(x, x, indexing="ij")
     radius = np.sqrt(grid_x**2 + grid_y**2).ravel()
-    mean_radius = radius @ (np.abs(vectors) ** 2)
-    compact = mean_radius <= COMPACT_RADIUS_FRACTION * grid.length
+    levels = _bulk_levels(values, radius[orbits[0]] @ weights, grid.length, n_levels)
+    return out | {
+        "levels": levels,
+        "relative_errors": [abs(l / e0 - 1.0) for l, e0 in zip(levels, expected)],
+        "below_shift": below_shift,
+    }
+
+
+def _bulk_levels(values: np.ndarray, mean_radius: np.ndarray, length: float,
+                 n_levels: int) -> list:
+    """The n_levels lowest bulk levels among ascending eigenvalues whose
+    states have the given mean radii, each at its most compact member."""
+    compact = mean_radius <= COMPACT_RADIUS_FRACTION * length
     bulk_values = values[compact]
     bulk_radii = mean_radius[compact]
     if bulk_values.size == 0:
@@ -610,21 +718,11 @@ def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = None,
             clusters.append([i])
     if len(clusters) < n_levels:
         raise GridResolutionError(
-            f"found only {len(clusters)} bulk level clusters among {k} eigenvalues; "
-            "enlarge the grid or lower n_levels"
+            f"found only {len(clusters)} bulk level clusters among {values.size} "
+            "eigenvalues; enlarge the grid or lower n_levels"
         )
-
-    cyclotron = params.e * b_field / params.m
-    levels = [float(bulk_values[min(cluster, key=lambda i: bulk_radii[i])])
-              for cluster in clusters[:n_levels]]
-    expected = [params.hbar * cyclotron * (j + 0.5) for j in range(n_levels)]
-    return {
-        "levels": levels,
-        "expected": expected,
-        "magnetic_length": float(magnetic_length),
-        "relative_errors": [abs(l / e0 - 1.0) for l, e0 in zip(levels, expected)],
-        "below_shift": below_shift,
-    }
+    return [float(bulk_values[min(cluster, key=lambda i: bulk_radii[i])])
+            for cluster in clusters[:n_levels]]
 
 
 def export_csv(f: WaveField, path) -> None:

@@ -6,9 +6,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from planardirac import cli
 from planardirac.reporting import RunReport
@@ -334,8 +336,43 @@ class TestLandauReport:
         assert inertia[0]["passed"]
         others = [(c["name"], c["expected"], c["tolerance"])
                   for c in checks if c not in inertia]
-        assert others == [(f"level {j} vs hbar*w_c*(n+1/2)", "<= 0.02", 0.02)
-                          for j in range(3)]
+        assert others == [("rotation R commutes with H (C4 sectors)", "<= 1e-14", 1e-14)] + [
+            (f"level {j} vs hbar*w_c*(n+1/2)", "<= 0.02", 0.02) for j in range(3)]
+        assert checks[0]["measured"] == 0.0
+
+    def test_gauge_without_c4_symmetry_fails_commutator(self, capsys, monkeypatch):
+        """The Landau gauge A = (-B y, 0), reached from the symmetric gauge by
+        the gauge function chi = -B x y / 2, has the same spectrum but no C4
+        symmetry: the report fails on the commutator and shows no level."""
+        nonrel = cli.nonrel
+        symmetric = nonrel._landau_hamiltonian
+
+        def landau_gauge(b_field, grid, params):
+            x = nonrel._cell_centers(grid)
+            chi = -0.5 * b_field * np.multiply.outer(x, x).ravel()
+            phase = sparse.diags(np.exp(1j * params.e * chi / params.hbar))
+            return (phase.conj() @ symmetric(b_field, grid, params) @ phase).tocsr()
+
+        monkeypatch.setattr(nonrel, "_landau_hamiltonian", landau_gauge)
+        code, out, _ = run_main(["--json", "landau", "--grid", "32"], capsys)
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        assert [(c["name"], c["passed"]) for c in checks] == [
+            ("rotation R commutes with H (C4 sectors)", False)]
+        assert checks[0]["measured"] > 0.0
+
+    @pytest.mark.parametrize("levels", ["20", "64"])
+    def test_too_many_levels_exit_two(self, levels, capsys, monkeypatch):
+        """More levels than the grid-32 box holds is a usage error, also when
+        the sector k reaches its cap of n*n/4 - 2 (at 64 levels)."""
+        requested = []
+        eigsh = cli.nonrel.eigsh
+        monkeypatch.setattr(cli.nonrel, "eigsh",
+                            lambda *a, **kw: requested.append(kw["k"]) or eigsh(*a, **kw))
+        code, _, err = run_main(["landau", "--grid", "32", "--levels", levels], capsys)
+        assert code == 2
+        assert "found only 3 bulk level clusters" in err
+        assert max(requested) <= 32 * 32 // 4 - 2
 
     def test_uncertified_shift_is_failed_check(self, capsys, monkeypatch):
         solve = cli.nonrel.landau_levels

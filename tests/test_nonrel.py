@@ -472,6 +472,54 @@ class TestLandauLevels:
         assert below_shift == 0
         assert nr.landau_levels(b_field, grid, NATURAL)["below_shift"] == 0
 
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("b_field, n_levels, k", [(0.25, 3, 67), (0.5, 2, 80)])
+    def test_sector_solve_matches_full_solve(self, n, b_field, n_levels, k):
+        """The four C4 sector solves return the k lowest eigenvalues of the
+        full H (k as landau_levels requests it for the CLI's B and 2B at box
+        20), and landau_levels reports the same member of each level as the
+        bulk filter applied to the full solve's eigenvectors."""
+        grid = nr.Grid2D(n, 20.0)
+        ham = nr._landau_hamiltonian(b_field, grid, NATURAL)
+        full, vectors, _ = nr._lowest_eigenpairs(ham, k)
+        sectors, _, below_shift = nr._sector_lowest(ham, nr._rotation_orbits(n), k,
+                                                    -(-k // 4) + 6)
+        assert below_shift == 0
+        assert np.abs(sectors / full - 1.0).max() <= 1e-12
+        if np.sqrt(NATURAL.hbar / (NATURAL.e * b_field)) < 3.0 * grid.spacing:
+            return  # magnetic length below 3 cells: landau_levels refuses the grid
+        x = nr._cell_centers(grid)
+        grid_x, grid_y = np.meshgrid(x, x, indexing="ij")
+        radius = np.sqrt(grid_x**2 + grid_y**2).ravel()
+        reference = nr._bulk_levels(full, radius @ np.abs(vectors) ** 2, grid.length,
+                                    n_levels)
+        result = nr.landau_levels(b_field, grid, NATURAL, n_levels)
+        assert result["commutator"] == 0.0
+        assert np.abs(np.array(result["levels"]) / reference - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("k_sector", [1, 20])
+    def test_sector_k_grows_until_certified(self, k_sector, monkeypatch):
+        """Started with too few pairs per sector to certify the 80 requested,
+        the sector solve raises its k until 80 of its values lie below every
+        sector's largest, and returns exactly the 80 lowest of the dense
+        spectrum.  At 20 per sector the union holds exactly 80 values, but
+        not the 80 lowest: those fall 21, 19, 20 and 20 into the sectors."""
+        b_field, grid, k = 0.25, nr.Grid2D(32, 20.0), 80
+        ham = nr._landau_hamiltonian(b_field, grid, NATURAL)
+        requested = []
+        eigsh = nr.eigsh
+        monkeypatch.setattr(nr, "eigsh",
+                            lambda *a, **kw: requested.append(kw["k"]) or eigsh(*a, **kw))
+        values, weights, below_shift = nr._sector_lowest(ham, nr._rotation_orbits(32),
+                                                         k, k_sector)
+        dense = np.linalg.eigvalsh(ham.toarray())
+        cyclotron_quantum = NATURAL.hbar * NATURAL.e * b_field / NATURAL.m
+        assert values.shape == (k,)
+        assert np.abs(values - dense[:k]).max() <= 1e-12 * cyclotron_quantum
+        assert np.abs(weights.sum(axis=0) - 1.0).max() <= 1e-12
+        assert below_shift == 0
+        assert requested[:4] == [k_sector] * 4 and len(requested) > 4
+
     def test_discretization_is_second_order(self):
         """The 5-point-stencil levels converge to hbar*w_c*(n+1/2) as h^2:
         log-log slope of relative error vs h over grids 32/64/128 at box 20
@@ -480,6 +528,7 @@ class TestLandauLevels:
         b_field = NATURAL.hbar / (NATURAL.e * (box / 10.0) ** 2)
         grids = [nr.Grid2D(n, box) for n in (32, 64, 128)]
         runs = [nr.landau_levels(b_field, grid, NATURAL) for grid in grids]
+        assert [run["commutator"] for run in runs] == [0.0, 0.0, 0.0]
         spacings = np.log([grid.spacing for grid in grids])
         for level in range(3):
             errors = np.log([run["relative_errors"][level] for run in runs])
