@@ -490,7 +490,9 @@ CLUSTER_REL_GAP = 2e-2
 
 def _cell_centers(grid: Grid2D) -> np.ndarray:
     # Cell-centered coordinates keep the symmetric gauge centered on the box.
-    return (np.arange(grid.n) + 0.5) * grid.spacing - grid.length / 2.0
+    # The half-integer offsets are exact and rounding is sign-symmetric, so
+    # x[n-1-j] == -x[j] bit for bit at any box side.
+    return (np.arange(grid.n) - (grid.n - 1) / 2.0) * grid.spacing
 
 
 def _landau_hamiltonian(b_field: float, grid: Grid2D,

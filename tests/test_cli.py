@@ -336,9 +336,19 @@ class TestLandauReport:
         assert inertia[0]["passed"]
         others = [(c["name"], c["expected"], c["tolerance"])
                   for c in checks if c not in inertia]
-        assert others == [("rotation R commutes with H (C4 sectors)", "<= 1e-14", 1e-14)] + [
+        assert others == [("rotation R commutes with H (C4 sectors)", "<= 0", 0.0)] + [
             (f"level {j} vs hbar*w_c*(n+1/2)", "<= 0.02", 0.02) for j in range(3)]
         assert checks[0]["measured"] == 0.0
+
+    @pytest.mark.parametrize("box", ["0.1", "17.3"])
+    def test_box_that_is_not_dyadic_solves_sectors(self, box, capsys):
+        """Cell centres are exactly antisymmetric at any box side, so R
+        commutes with H bit for bit and the sectors are solved."""
+        code, out, _ = run_main(["--json", "landau", "--grid", "32", "--box", box], capsys)
+        assert code == 0
+        by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert by_name["rotation R commutes with H (C4 sectors)"]["measured"] == 0.0
+        assert by_name["eigenvalues below the shift (Sylvester inertia)"]["passed"]
 
     def test_gauge_without_c4_symmetry_fails_commutator(self, capsys, monkeypatch):
         """The Landau gauge A = (-B y, 0), reached from the symmetric gauge by

@@ -497,6 +497,18 @@ class TestLandauLevels:
         assert result["commutator"] == 0.0
         assert np.abs(np.array(result["levels"]) / reference - 1.0).max() <= 1e-12
 
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("box", [0.1, 17.3, 1e-3 / 3.0, 2e5 / 7.0])
+    def test_rotation_commutes_exactly_at_any_box(self, n, box):
+        """Cell centres are antisymmetric bit for bit also where (j + 1/2) h
+        rounds, so the C4 commutator of H is exactly 0 at any box side."""
+        grid = nr.Grid2D(n, box)
+        x = nr._cell_centers(grid)
+        assert np.array_equal(x[::-1], -x)
+        b_field = NATURAL.hbar / (NATURAL.e * (box / 10.0) ** 2)
+        ham = nr._landau_hamiltonian(b_field, grid, NATURAL)
+        assert nr._rotation_commutator(ham, nr._rotation_orbits(n)) == 0.0
+
     @pytest.mark.parametrize("k_sector", [1, 20])
     def test_sector_k_grows_until_certified(self, k_sector, monkeypatch):
         """Started with too few pairs per sector to certify the 80 requested,
