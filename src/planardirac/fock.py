@@ -35,7 +35,6 @@ from .planewave import (
     build_u,
     build_v,
 )
-from .reporting import Check, bound_check
 
 M_MAX = 6
 
@@ -297,8 +296,8 @@ def build_space(modes: ModeSet) -> FockSpace:
     return FockSpace(modes)
 
 
-def verify_ccr(space: FockSpace, tol: float = 1e-14) -> list[Check]:
-    """Check every anti-commutator family of the mode operators.
+def verify_ccr(space: FockSpace) -> dict[str, float]:
+    """Worst deviation of every anti-commutator family of the mode operators.
 
     Same-species and cross-species anti-commutators of annihilators (and of
     creators) vanish; the mixed families {b, d'} and {d, b'} vanish; and
@@ -312,33 +311,31 @@ def verify_ccr(space: FockSpace, tol: float = 1e-14) -> list[Check]:
     dd_ = [space.creation(POSITRON, i) for i in range(n)]
     eye = space.identity()
 
-    def worst(pairs):
-        return max(dev for dev in pairs) if pairs else 0.0
+    unordered = [(i, j) for i in range(n) for j in range(i, n)]  # for one family with itself
+    ordered = [(i, j) for i in range(n) for j in range(n)]
 
-    records = []
+    def worst(x, y, pairs):
+        return max(anticommutator(x[i], y[j]).max_abs() for i, j in pairs)
 
-    def add(name, deviations):
-        records.append(bound_check(name, worst(deviations), tol, dimension=space.dim))
-
-    def delta_deviations(lowering, raising):
+    def worst_delta(lowering, raising):
         deviations = []
-        for i in range(n):
-            for j in range(n):
-                ac = anticommutator(lowering[i], raising[j])
-                deviations.append((ac - eye if i == j else ac).max_abs())
-        return deviations
+        for i, j in ordered:
+            ac = anticommutator(lowering[i], raising[j])
+            deviations.append((ac - eye if i == j else ac).max_abs())
+        return max(deviations)
 
-    add("{b,b} = 0", [anticommutator(b[i], b[j]).max_abs() for i in range(n) for j in range(i, n)])
-    add("{d,d} = 0", [anticommutator(d[i], d[j]).max_abs() for i in range(n) for j in range(i, n)])
-    add("{b,d} = 0", [anticommutator(b[i], d[j]).max_abs() for i in range(n) for j in range(n)])
-    add("{b+,b+} = 0", [anticommutator(bd_[i], bd_[j]).max_abs() for i in range(n) for j in range(i, n)])
-    add("{d+,d+} = 0", [anticommutator(dd_[i], dd_[j]).max_abs() for i in range(n) for j in range(i, n)])
-    add("{b+,d+} = 0", [anticommutator(bd_[i], dd_[j]).max_abs() for i in range(n) for j in range(n)])
-    add("{b,d+} = 0", [anticommutator(b[i], dd_[j]).max_abs() for i in range(n) for j in range(n)])
-    add("{d,b+} = 0", [anticommutator(d[i], bd_[j]).max_abs() for i in range(n) for j in range(n)])
-    add("{b,b+} = delta", delta_deviations(b, bd_))
-    add("{d,d+} = delta", delta_deviations(d, dd_))
-    return records
+    return {
+        "{b,b} = 0": worst(b, b, unordered),
+        "{d,d} = 0": worst(d, d, unordered),
+        "{b,d} = 0": worst(b, d, ordered),
+        "{b+,b+} = 0": worst(bd_, bd_, unordered),
+        "{d+,d+} = 0": worst(dd_, dd_, unordered),
+        "{b+,d+} = 0": worst(bd_, dd_, ordered),
+        "{b,d+} = 0": worst(b, dd_, ordered),
+        "{d,b+} = 0": worst(d, bd_, ordered),
+        "{b,b+} = delta": worst_delta(b, bd_),
+        "{d,d+} = delta": worst_delta(d, dd_),
+    }
 
 
 def _mode_energies(space: FockSpace) -> list[float]:
@@ -419,15 +416,6 @@ class FieldAnticommutatorReport:
     max_scalar_deviation: float   # worst deviation of any anticommutator from c*I
     max_plain_deviation: float    # worst entry of {Psi_a, Psi_b} (must vanish)
     max_kernel_mismatch: float    # |kernel - mode_sum_kernel| entry-wise
-
-    def to_records(self, dimension: int, tol: float = 1e-13) -> list[Check]:
-        return [
-            bound_check("{Psi,Psibar*metric} proportional to identity",
-                        self.max_scalar_deviation, tol, dimension=dimension),
-            bound_check("{Psi,Psi} = 0", self.max_plain_deviation, tol, dimension=dimension),
-            bound_check("kernel matches mode sum", self.max_kernel_mismatch, tol,
-                        dimension=dimension),
-        ]
 
 
 def field_anticommutator(space: FockSpace, r, r_prime, t: float) -> FieldAnticommutatorReport:
@@ -558,33 +546,27 @@ def charge_operator(space: FockSpace) -> FockOperator:
     return out
 
 
-def pair_commutator_check(space: FockSpace, index: int, index_prime: int,
-                          tol: float = 1e-14) -> list[Check]:
+def pair_commutator_check(space: FockSpace, index: int, index_prime: int) -> dict[str, float]:
     """Bosonic character of the pair operators, exact finite-mode form.
 
     For matched momenta the exact identity is
     [P(k), P'(k)] = I - n_b(k) - n_d(-k); its vacuum expectation is 1, the
     Kronecker-delta reading of the bosonic commutation relation.  For distinct
-    momenta the commutator vanishes identically.
+    momenta the commutator vanishes identically.  Returns the deviation of
+    each statement.
     """
     p = pair_lowering(space, index)
     p_prime = pair_lowering(space, index_prime)
     comm = commutator(p, p_prime.dagger())
     vac = space.vacuum()
-    records = []
     if index == index_prime:
         partner = space.modes.partner_index(index)
         exact = space.identity() - space.number(ELECTRON, index) - space.number(POSITRON, partner)
-        records.append(bound_check(
-            "[P,P+] = I - n_b - n_d (exact identity)",
-            (comm - exact).max_abs(), tol, dimension=space.dim))
-        records.append(bound_check(
-            "<vac|[P,P+]|vac> = 1",
-            abs(comm.expectation(vac) - 1.0), tol, dimension=space.dim))
-    else:
-        records.append(bound_check(
-            "[P(k),P+(k')] = 0 for k != k'", comm.max_abs(), tol, dimension=space.dim))
-        records.append(bound_check(
-            "<vac|[P(k),P+(k')]|vac> = 0",
-            abs(comm.expectation(vac)), tol, dimension=space.dim))
-    return records
+        return {
+            "[P,P+] = I - n_b - n_d (exact identity)": (comm - exact).max_abs(),
+            "<vac|[P,P+]|vac> = 1": abs(comm.expectation(vac) - 1.0),
+        }
+    return {
+        "[P(k),P+(k')] = 0 for k != k'": comm.max_abs(),
+        "<vac|[P(k),P+(k')]|vac> = 0": abs(comm.expectation(vac)),
+    }

@@ -28,7 +28,7 @@ class GridResolutionError(ValueError):
     """Grid too coarse (or step too large) to resolve the requested physics."""
 
 
-class GaugeFrameError(RuntimeError):
+class GaugeFrameError(ValueError):
     """Rest-mass phase already removed (or required and absent)."""
 
 

@@ -21,40 +21,33 @@ class Check:
     expected: object
     tolerance: float
     passed: bool
-    dimension: int | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "name": self.name,
             "measured": self.measured,
             "expected": self.expected,
             "tolerance": self.tolerance,
             "passed": self.passed,
         }
-        if self.dimension is not None:
-            out["dimension"] = self.dimension
-        return out
 
 
-def bound_check(name: str, measured: float, bound: float,
-                dimension: int | None = None) -> Check:
+def bound_check(name: str, measured: float, bound: float) -> Check:
     """Pass when measured <= bound."""
     return Check(name, float(measured), f"<= {bound:g}", float(bound),
-                 float(measured) <= float(bound), dimension)
+                 float(measured) <= float(bound))
 
 
-def floor_check(name: str, measured: float, floor: float,
-                dimension: int | None = None) -> Check:
+def floor_check(name: str, measured: float, floor: float) -> Check:
     """Pass when measured >= floor."""
     return Check(name, float(measured), f">= {floor:g}", float(floor),
-                 float(measured) >= float(floor), dimension)
+                 float(measured) >= float(floor))
 
 
-def value_check(name: str, measured: float, expected: float, tolerance: float,
-                dimension: int | None = None) -> Check:
+def value_check(name: str, measured: float, expected: float, tolerance: float) -> Check:
     """Pass when |measured - expected| <= tolerance."""
     return Check(name, float(measured), float(expected), float(tolerance),
-                 abs(float(measured) - float(expected)) <= float(tolerance), dimension)
+                 abs(float(measured) - float(expected)) <= float(tolerance))
 
 
 def failed_check(name: str, reason: str) -> Check:

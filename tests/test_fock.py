@@ -11,6 +11,7 @@ from scipy import sparse
 
 from planardirac import fock
 from planardirac.fock import ELECTRON, POSITRON
+from planardirac.reporting import bound_check
 from planardirac.planewave import (
     Branch, DegenerateNormalizationError, build_u, build_v, normalize)
 
@@ -160,9 +161,12 @@ class TestAnticommutationRelations:
     def test_all_families_exact(self, n_modes):
         """Every anti-commutator family holds with literally zero deviation."""
         space = fock.build_space(fock.default_symmetric_modes(n_modes))
-        for record in fock.verify_ccr(space):
-            assert record.measured == 0.0, record.name
-            assert record.passed
+        deviations = fock.verify_ccr(space)
+        assert set(deviations) == {
+            "{b,b} = 0", "{d,d} = 0", "{b,d} = 0", "{b+,b+} = 0", "{d+,d+} = 0",
+            "{b+,d+} = 0", "{b,d+} = 0", "{d,b+} = 0", "{b,b+} = delta", "{d,d+} = delta"}
+        for name, deviation in deviations.items():
+            assert deviation == 0.0, name
 
     def test_single_mode_identity(self, space1):
         b = space1.annihilation(ELECTRON, 0)
@@ -180,9 +184,9 @@ class TestAnticommutationRelations:
         assert fock.anticommutator(b, d_dag).max_abs() == 0.0
 
     def test_report_serializes(self, space1):
-        record = fock.verify_ccr(space1)[0]
-        doc = record.to_dict()
-        assert doc["dimension"] == 4
+        name, deviation = next(iter(fock.verify_ccr(space1).items()))
+        doc = bound_check(name, deviation, 1e-14).to_dict()
+        assert set(doc) == {"name", "measured", "expected", "tolerance", "passed"}
         assert doc["passed"] is True
 
 
