@@ -61,8 +61,12 @@ class Grid2D:
         x, y = self.axes()
         return np.meshgrid(x, y, indexing="ij")
 
+    def wavenumber_axis(self) -> np.ndarray:
+        """The n angular wavenumbers of one axis, in FFT order."""
+        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
+
     def wavenumbers(self):
-        k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
+        k = self.wavenumber_axis()
         return np.meshgrid(k, k, indexing="ij")
 
 
@@ -113,21 +117,36 @@ def boundary_density(f: WaveField) -> float:
 
 
 def _mode_terms(grid: Grid2D, params: PhysicalParams):
-    """Per-mode terms of H(k) on the full wavenumber mesh.
+    """Per-mode terms of H(k) = [[m c^2, i conj(p)], [-i p, -m c^2]].
 
-    Returns p = c*hbar*(kx + i ky) and hbar*w(k) = sqrt(|p|^2 + (m c^2)^2);
-    in these terms H(k) = [[m c^2, i conj(p)], [-i p, -m c^2]].
+    Returns q = c*hbar*k on one axis, so that mode (j, l) has
+    p = q[j] + i q[l] (see _momentum), and hbar*w(k) = sqrt(|p|^2 + (m c^2)^2)
+    on the modes j, l <= n/2 only.  The FFT index n - j holds -k[j] exactly
+    and w depends on kx^2 and ky^2 alone, so _mirror gives any function of w
+    on the full mesh, bit for bit, from a quarter of the work.
     """
-    kx, ky = grid.wavenumbers()
-    p = params.c * params.hbar * (kx + 1j * ky)
-    energy = np.sqrt(p.real**2 + p.imag**2 + params.rest_energy**2)
-    return p, energy
+    q = params.c * params.hbar * grid.wavenumber_axis()
+    half = q[: grid.n // 2 + 1] ** 2
+    return q, np.sqrt(np.add.outer(half, half) + params.rest_energy**2)
+
+
+def _momentum(q: np.ndarray) -> np.ndarray:
+    """p = c*hbar*(kx + i ky) on the full mesh, from q of _mode_terms."""
+    return np.add.outer(q, 1j * q)
+
+
+def _mirror(quadrant: np.ndarray) -> np.ndarray:
+    """The full (n, n) mesh of a per-mode quantity even in kx and in ky,
+    given on the (n/2 + 1)^2 modes with j, l <= n/2."""
+    n = 2 * (quadrant.shape[0] - 1)
+    index = np.minimum(np.arange(n), n - np.arange(n))
+    return quadrant.take(index, axis=0).take(index, axis=1)
 
 
 def _spinor_weights(grid: Grid2D, params: PhysicalParams):
     """G1 = -i p / (E + m c^2) and the metric divisor sqrt(1-|G1|^2) per mode."""
-    p, energy = _mode_terms(grid, params)
-    g1 = -1j * p / (energy + params.rest_energy)
+    q, energy = _mode_terms(grid, params)
+    g1 = -1j * _momentum(q) / _mirror(energy + params.rest_energy)
     return g1, np.sqrt(1.0 - np.abs(g1) ** 2)
 
 
@@ -193,17 +212,21 @@ def negative_branch_weight(f: WaveField, params: PhysicalParams = None) -> float
     return float(np.sqrt(np.sum(np.abs(c_v) ** 2) / total))
 
 
-def _dirac_propagator(grid: Grid2D, params: PhysicalParams, t: float):
+def _dirac_propagator(grid: Grid2D, params: PhysicalParams, t: float,
+                      diagonal_only: bool = False):
     """(diag, off) per mode, with U(t) = exp(-i t H(k)/hbar) = [[diag, conj(off)],
     [-off, conj(diag)]].
 
     H(k) is Hermitian with H(k)^2 = E^2, E = hbar*w(k), so
-    U = cos(w t) - i sin(w t) H(k)/E: exactly unitary for any t.
+    U = cos(w t) - i sin(w t) H(k)/E: exactly unitary for any t.  With
+    diagonal_only, off is None: the upper component of U (psi, 0) is
+    diag * psi alone.
     """
-    p, energy = _mode_terms(grid, params)
+    q, energy = _mode_terms(grid, params)
     theta = energy * t / params.hbar  # = w(k) t
     sin_t = np.sin(theta) / energy
-    return np.cos(theta) - 1j * sin_t * params.rest_energy, sin_t * p
+    diag = _mirror(np.cos(theta) - 1j * sin_t * params.rest_energy)
+    return diag, (None if diagonal_only else _mirror(sin_t) * _momentum(q))
 
 
 def _dirac_step(spectrum: np.ndarray, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -253,8 +276,9 @@ def small_component(f: WaveField, params: PhysicalParams = None) -> WaveField:
         raise ValueError("small_component expects a 2-component field")
     if not f.gauge_frame:
         raise GaugeFrameError("small_component expects a gauge-frame field")
-    p, _ = _mode_terms(f.grid, params)
-    spectrum = np.fft.fft2(f.data[0], norm="ortho") * (-1j * p / (2.0 * params.rest_energy))
+    q, _ = _mode_terms(f.grid, params)
+    spectrum = (np.fft.fft2(f.data[0], norm="ortho")
+                * (-1j * _momentum(q) / (2.0 * params.rest_energy)))
     return WaveField(f.grid, np.fft.ifft2(spectrum, norm="ortho"),
                      gauge_frame=True, time=f.time)
 
@@ -308,12 +332,17 @@ class PotentialConfig:
 
 def _kinetic_phase(grid: Grid2D, params: PhysicalParams, dt: float, vector) -> np.ndarray:
     """exp(-i hbar |k + e A/hbar|^2 dt / 2m) per mode, for the uniform vector
-    potential A = vector = (Ax, Ay)."""
-    kx, ky = grid.wavenumbers()
-    shift_x = params.e * vector[0] / params.hbar
-    shift_y = params.e * vector[1] / params.hbar
-    kinetic = params.hbar * ((kx + shift_x) ** 2 + (ky + shift_y) ** 2) / (2.0 * params.m)
-    return np.exp(-1j * kinetic * dt)
+    potential A = vector = (Ax, Ay).
+
+    The phase of |k + s|^2 = (kx + sx)^2 + (ky + sy)^2 factors, so this is
+    the outer product of one phase per axis: 2n exponentials, not n^2.
+    """
+    k = grid.wavenumber_axis()
+    x_phase, y_phase = (
+        np.exp(-1j * (params.hbar * (k + params.e * a / params.hbar) ** 2
+                      / (2.0 * params.m)) * dt)
+        for a in vector)
+    return np.multiply.outer(x_phase, y_phase)
 
 
 def evolve_schrodinger(f: WaveField, t: float, params: PhysicalParams = None,
@@ -384,14 +413,21 @@ def compare_limit(dirac_field: WaveField, schrod_field: WaveField) -> float:
 
 
 def _limit_spectra(k0: Momentum, n: int, t_final: float, params: PhysicalParams,
-                   sigma: float = None, box: float = None, steps: int = 1):
+                   sigma: float = None, box: float = None, steps: int = 1,
+                   upper_only: bool = False):
     """The limit comparison done on unitary spectra, with no real-space step.
 
     Builds U(dt) and the kinetic phase for dt = t_final/steps once, applies
     them steps times to the spectrum of the normalized packet, and removes
     the rest-mass phase.  Returns (out, grid, dirac, schrodinger): out holds
-    "distance", "vc_scale", "sigma" and "box"; dirac (2, n, n) and
-    schrodinger (n, n) are the spectra at t_final, Dirac in the gauge frame.
+    "distance", "vc_scale", "sigma" and "box"; schrodinger (n, n) and dirac
+    are the spectra at t_final, Dirac in the gauge frame.  dirac is the
+    (2, n, n) spinor, or with upper_only its (n, n) upper component alone.
+
+    upper_only serves runs that read only "distance" and takes one step:
+    from (psi, 0), U(t) gives the upper component diag * psi, so neither the
+    lower component nor U's off-diagonal is formed.  Its distance equals the
+    two-component run's bit for bit.
     """
     if sigma is None:
         if k0.magnitude == 0.0:
@@ -402,22 +438,29 @@ def _limit_spectra(k0: Momentum, n: int, t_final: float, params: PhysicalParams,
             sigma = 4.0 / k0.magnitude
     if box is None:
         box = 24.0 * sigma
+    if upper_only and steps != 1:
+        raise ValueError("an upper-only run takes exactly one step")
     grid = Grid2D(n, box)
     factors = _gaussian_factors(grid, (0.0, 0.0), k0, sigma)
     # The unitary DFT keeps the norm, so this normalizes the packet.
     schrod = _outer_spectrum(factors)
     schrod /= WaveField(grid, schrod).norm
-    dirac = np.stack([schrod, np.zeros_like(schrod)])
 
     dt = t_final / steps
-    diag, off = _dirac_propagator(grid, params, dt)
+    diag, off = _dirac_propagator(grid, params, dt, diagonal_only=upper_only)
+    if upper_only:
+        dirac = diag * schrod
+    else:
+        dirac = np.stack([schrod, np.zeros_like(schrod)])
+        for _ in range(steps):
+            dirac = _dirac_step(dirac, diag, off)
+    del diag, off  # freed before the kinetic phase is built: a lower peak
     kin_phase = _kinetic_phase(grid, params, dt, (0.0, 0.0))
     for _ in range(steps):
-        dirac = _dirac_step(dirac, diag, off)
-        schrod = schrod * kin_phase
+        schrod *= kin_phase
     dirac *= _rest_phase(params, t_final)
     out = {
-        "distance": _relative_distance(dirac[0], schrod),
+        "distance": _relative_distance(dirac if upper_only else dirac[0], schrod),
         "vc_scale": params.hbar * k0.magnitude / (params.m * params.c),
         "sigma": sigma,
         "box": box,
@@ -460,16 +503,21 @@ def run_limit_comparison(k0x: float, k0y: float = 0.0, n: int = 128,
 
 
 def limit_scaling_study(k0_values, n: int = 128, t_final: float = 10.0,
-                        params: PhysicalParams = None) -> dict:
+                        params: PhysicalParams = None, known: dict = None) -> dict:
     """Distances at several velocity scales plus the fitted log-log slope.
 
-    Each distance is taken on spectra, so no run returns to real space.
-    When a distance is exactly 0 (the fields never moved apart, as at a
-    subnormal t_final) there is nothing to fit: "slope" and
-    "halving_ratios" are then None.
+    Each |k0| value runs at k0 = (|k0|, 0), the default geometry and one
+    step, and only its distance is read, so no run forms a lower component
+    or returns to real space.  known maps a |k0| value to a result of
+    run_limit_comparison for exactly that run; its distance and v/c are
+    used as they are, and that run is not repeated.  When a distance is
+    exactly 0 (the fields never moved apart, as at a subnormal t_final)
+    there is nothing to fit: "slope" and "halving_ratios" are then None.
     """
     params = params or PhysicalParams()
-    runs = [_limit_spectra(Momentum(k, 0.0), n, t_final, params)[0]
+    known = known or {}
+    runs = [known[k] if k in known else
+            _limit_spectra(Momentum(k, 0.0), n, t_final, params, upper_only=True)[0]
             for k in sorted(k0_values)]
     vcs = np.array([r["vc_scale"] for r in runs])
     distances = np.array([r["distance"] for r in runs])

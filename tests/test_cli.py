@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from planardirac import cli
+from planardirac.planewave import Momentum, PhysicalParams
 from planardirac.reporting import RunReport
 
 
@@ -407,6 +408,27 @@ class TestEvolveCommand:
             "log-log slope of distance vs v/c"]
         assert all(c["expected"].startswith(f"distances vanish at t={t_final};")
                    for c in failed)
+
+    @pytest.mark.parametrize("flags,runs", [
+        ([], 3), (["--steps", "1"], 3),
+        (["--k0x=-0.05"], 4), (["--k0y", "0.01"], 4), (["--sigma", "90"], 4),
+        (["--box", "2000"], 4), (["--steps", "2"], 4),
+    ])
+    def test_main_run_reused_only_when_identical(self, flags, runs, capsys, monkeypatch):
+        """The |k0| scaling run repeats the main run exactly when k0 lies on
+        +x at the default geometry and one step; only then is it reused."""
+        calls = []
+        spectra = cli.nonrel._limit_spectra
+        monkeypatch.setattr(cli.nonrel, "_limit_spectra",
+                            lambda *a, **kw: calls.append(a) or spectra(*a, **kw))
+        code, out, _ = run_main(["--json", "evolve", *flags], capsys)
+        assert code == 0
+        assert len(calls) == runs
+        if runs == 3:
+            fresh = spectra(Momentum(0.05, 0.0), 128, 10.0, PhysicalParams(),
+                            upper_only=True)[0]
+            reused = json.loads(out)["parameters"]["scaling_distances"][1]
+            assert reused == fresh["distance"]
 
     def test_snapshot_export(self, capsys, tmp_path):
         out_dir = tmp_path / "snaps"

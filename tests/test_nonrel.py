@@ -39,6 +39,13 @@ class TestGrid:
         assert kx.max() == pytest.approx(grid.nyquist - 2 * np.pi / grid.length)
         assert kx.min() == pytest.approx(-grid.nyquist)
 
+    def test_wavenumber_mesh_is_built_from_the_axis(self):
+        grid = nr.Grid2D(16, 8.0)
+        k = grid.wavenumber_axis()
+        kx, ky = grid.wavenumbers()
+        assert np.array_equal(kx, np.broadcast_to(k[:, None], (16, 16)))
+        assert np.array_equal(ky, np.broadcast_to(k[None, :], (16, 16)))
+
 
 class TestWaveField:
     def test_shape_validation(self):
@@ -107,6 +114,20 @@ class TestDiracEvolution:
         assert np.abs(up.data[0] - ones * np.exp(-1j * t)).max() < 1e-14
         assert np.abs(up.data[1]).max() == 0.0
         assert np.abs(down.data[1] - ones * np.exp(+1j * t)).max() < 1e-14
+
+    @pytest.mark.parametrize("n,length", [(8, 3.0), (64, 17.3), (256, 1920.0)])
+    def test_mode_terms_equal_the_mesh_formulas(self, n, length):
+        """p from the axis momenta, and hbar w(k) from one quadrant mirrored
+        by index, equal c hbar (kx + i ky) and sqrt(|p|^2 + (m c^2)^2) on the
+        full mesh bit for bit."""
+        grid = nr.Grid2D(n, length)
+        params = PhysicalParams(m=2.0, c=3.0, hbar=0.5)
+        q, energy = nr._mode_terms(grid, params)
+        kx, ky = grid.wavenumbers()
+        p = params.c * params.hbar * (kx + 1j * ky)
+        assert np.array_equal(nr._momentum(q), p)
+        assert np.array_equal(nr._mirror(energy),
+                              np.sqrt(p.real**2 + p.imag**2 + params.rest_energy**2))
 
     def test_group_property(self):
         grid = nr.Grid2D(32, 80.0)
@@ -342,6 +363,24 @@ class TestSchrodingerEvolution:
         with pytest.raises(ValueError, match="uniform"):
             nr.evolve_schrodinger(f, 1.0, NATURAL, pot, steps=10)
 
+    @pytest.mark.parametrize("params,n,length,dt,vector", [
+        (NATURAL, 64, 30.0, 0.7, (0.0, 0.0)),
+        (NATURAL, 128, 1920.0, 10.0, (0.0, 0.0)),
+        (NATURAL, 64, 30.0, 0.7, (0.3, -1.2)),
+        (PhysicalParams(m=2.0, c=3.0, hbar=0.5, e=-1.5), 128, 5.0, 37.0, (0.0, 2.5)),
+    ])
+    def test_kinetic_phase_factors_by_axis(self, params, n, length, dt, vector):
+        """The per-axis outer product equals exp(-i phi) with phi on the n^2
+        mesh.  Each phase carries a few roundings of relative size eps, so the
+        two differ by at most 4 eps (1 + max |phi|) per mode."""
+        grid = nr.Grid2D(n, length)
+        kx, ky = grid.wavenumbers()
+        sx, sy = (params.e * a / params.hbar for a in vector)
+        phi = params.hbar * ((kx + sx) ** 2 + (ky + sy) ** 2) / (2.0 * params.m) * dt
+        separable = nr._kinetic_phase(grid, params, dt, vector)
+        bound = 4.0 * np.finfo(float).eps * (1.0 + np.abs(phi).max())
+        assert np.abs(separable - np.exp(-1j * phi)).max() <= bound
+
     def test_coarse_step_diagnosed(self):
         grid = nr.Grid2D(32, 16.0)
         f = nr.build_gaussian(grid, (0, 0), Momentum(0, 0), 2.0)
@@ -428,6 +467,33 @@ class TestCompareLimit:
             fast += nr.limit_scaling_study(k0_values, n=n, t_final=t)["distances"]
             reference += reference
         assert fast == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("k0,n,t", [(0.05, 128, 10.0), (0.03, 128, 25.0), (0.2, 256, 3.7)])
+    def test_upper_only_distance_is_bit_identical(self, k0, n, t):
+        """From (psi, 0), one step's upper component is diag * psi alone, so
+        the run that forms no lower component reads the same distance."""
+        full = nr._limit_spectra(Momentum(k0, 0.0), n, t, NATURAL)
+        upper = nr._limit_spectra(Momentum(k0, 0.0), n, t, NATURAL, upper_only=True)
+        assert full[2].shape == (2, n, n) and upper[2].shape == (n, n)
+        assert upper[0] == full[0]
+
+    def test_upper_only_takes_one_step(self):
+        with pytest.raises(ValueError, match="one step"):
+            nr._limit_spectra(Momentum(0.05, 0.0), 128, 1.0, NATURAL, steps=2,
+                              upper_only=True)
+
+    def test_scaling_study_uses_known_runs(self, monkeypatch):
+        """A run passed in as known is used as it is and not repeated."""
+        run = nr.run_limit_comparison(0.05, n=128, t_final=10.0)
+        fresh = nr.limit_scaling_study([0.025, 0.05, 0.1], n=128, t_final=10.0)
+        calls = []
+        spectra = nr._limit_spectra
+        monkeypatch.setattr(nr, "_limit_spectra",
+                            lambda k0, *a, **kw: calls.append(k0.kx) or spectra(k0, *a, **kw))
+        reused = nr.limit_scaling_study([0.025, 0.05, 0.1], n=128, t_final=10.0,
+                                        known={0.05: run})
+        assert calls == [0.025, 0.1]
+        assert reused == fresh
 
     def test_distance_is_dimensionless(self):
         """The same v/c and the same time in rest-energy units must give the
