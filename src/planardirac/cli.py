@@ -255,7 +255,8 @@ def run_fock(report: RunReport, args: argparse.Namespace) -> None:
     if n_modes >= 2:
         two_pair = fock.pair_lowering(space, 1).dagger().apply(one_pair)
         norm = float(np.linalg.norm(two_pair))
-        report.add(floor_check("two-pair state at distinct momenta is nonzero", norm, 0.5))
+        report.add(value_check("two-pair state at distinct momenta has unit norm",
+                               norm, 1.0, 1e-14))
         report.add(value_check("total pair number on two-pair state",
                                total.expectation(two_pair / norm).real, 2.0, 1e-12))
 
@@ -306,24 +307,21 @@ def run_evolve(report: RunReport, args: argparse.Namespace) -> None:
             nonrel.export_raw(field, out_dir / f"{label}.f64")
 
 
-_INERTIA = "eigenvalues below the shift (Sylvester inertia)"
-_COMMUTES = "rotation R commutes with H (C4 sectors)"
-
-
-def _inertia_check(name: str, result: dict) -> Check:
-    if result["below_shift"] is None:
-        return failed_check(name, "SuperLU pivoted off the diagonal: inertia unknown")
-    return bound_check(name, result["below_shift"], 1e-14)
-
-
 def _add_solve_checks(report: RunReport, suffix: str, result: dict) -> bool:
-    """The C4 commutator and inertia checks of one Landau solve; False when
-    no sector was solved.  landau_levels solves the sectors only when R
+    """The C4 commutator, inertia and level checks of one Landau solve; False
+    when no sector was solved.  landau_levels solves the sectors only when R
     commutes with H exactly, so the commutator's bound is 0."""
-    report.add(bound_check(_COMMUTES + suffix, result["commutator"], 0.0))
+    report.add(bound_check("rotation R commutes with H (C4 sectors)" + suffix,
+                           result["commutator"], 0.0))
     if result["levels"] is None:
         return False
-    report.add(_inertia_check(_INERTIA + suffix, result))
+    inertia = "eigenvalues below the shift (Sylvester inertia)" + suffix
+    if result["below_shift"] is None:
+        report.add(failed_check(inertia, "SuperLU pivoted off the diagonal: inertia unknown"))
+    else:
+        report.add(bound_check(inertia, result["below_shift"], 1e-14))
+    for j, err in enumerate(result["relative_errors"]):
+        report.add(bound_check(f"level {j} vs hbar*w_c*(n+1/2){suffix}", err, 0.02))
     return True
 
 
@@ -339,8 +337,6 @@ def run_landau(report: RunReport, args: argparse.Namespace) -> None:
                              level_energies=result["levels"], expected=result["expected"])
     if not _add_solve_checks(report, "", result):
         return
-    for j, err in enumerate(result["relative_errors"]):
-        report.add(bound_check(f"level {j} vs hbar*w_c*(n+1/2)", err, 0.02))
 
     doubled_length = result["magnetic_length"] / np.sqrt(2.0)
     if doubled_length >= 3.0 * grid.spacing and args.levels >= 2:

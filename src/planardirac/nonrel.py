@@ -600,14 +600,16 @@ def _rotation_commutator(ham: sparse.csr_matrix, orbits: np.ndarray) -> float:
     return float(np.abs(diff.data).max(initial=0.0) / np.abs(ham.data).max())
 
 
-def _sector_basis(orbits: np.ndarray, m: int) -> sparse.csr_matrix:
-    """V_m: column q is (1/2) sum_r i^(-m r) e_{R^r c_q}, the unit vector of
-    orbit q on which R acts as i^m."""
-    size = orbits.shape[1]
-    phases = np.array([1.0, -1j, -1.0, 1j])[(m * np.arange(4)) % 4]  # i^(-m r)
-    return sparse.csr_matrix((np.repeat(0.5 * phases, size),
-                              (orbits.ravel(), np.tile(np.arange(size), 4))),
-                             shape=(orbits.size, size))
+def _sector_blocks(ham: sparse.csr_matrix, orbits: np.ndarray) -> list:
+    """The blocks H_m = V_m^H ham V_m, m = 0..3, where column q of V_m is
+    (1/2) sum_r i^(-m r) e_{R^r c_q}.  As R commutes with ham,
+    ham[R^r c, R^s c'] = ham[c, R^(s-r) c'], so the four r terms are equal
+    and H_m = sum_s i^(-m s) ham[orbits[0], orbits[s]]: no product is formed."""
+    rows = ham[orbits[0]]
+    slices = [rows[:, orbit] for orbit in orbits]
+    phases = np.array([1.0, -1j, -1.0, 1j])  # i^(-s)
+    return [sum(phases[(m * s) % 4] * block for s, block in enumerate(slices)).tocsr()
+            for m in range(4)]
 
 
 def _lowest_eigenpairs(ham: sparse.csr_matrix, k: int):
@@ -659,8 +661,7 @@ def _sector_lowest(ham: sparse.csr_matrix, orbits: np.ndarray, k: int,
     below_shift sums the four blocks' inertia counts, or is None when one
     is unknown.
     """
-    blocks = [(basis.conj().T @ ham @ basis).tocsr()
-              for basis in (_sector_basis(orbits, m) for m in range(4))]
+    blocks = _sector_blocks(ham, orbits)
     cap = orbits.shape[1] - 2
     k_sector = min(k_sector, cap)
     while True:

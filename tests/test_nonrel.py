@@ -575,6 +575,25 @@ class TestLandauLevels:
         ham = nr._landau_hamiltonian(b_field, grid, NATURAL)
         assert nr._rotation_commutator(ham, nr._rotation_orbits(n)) == 0.0
 
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_sector_blocks_are_projections(self, n):
+        """Each block read off H by re-indexing equals V_m^H H V_m, with V_m
+        built densely from the orbits: column q is (1/2) sum_r i^(-m r)
+        e_{R^r c_q}."""
+        orbits = nr._rotation_orbits(n)
+        ham = nr._landau_hamiltonian(1.0, nr.Grid2D(n, 4.0), NATURAL)
+        dense = ham.toarray()
+        columns = np.arange(orbits.shape[1])
+        blocks = nr._sector_blocks(ham, orbits)
+        assert len(blocks) == 4
+        for m, block in enumerate(blocks):
+            basis = np.zeros((n * n, columns.size), dtype=complex)
+            for r in range(4):
+                basis[orbits[r], columns] = 0.5 * 1j ** (-m * r)
+            projected = basis.conj().T @ dense @ basis
+            assert np.abs(block.toarray() - projected).max() <= (
+                4 * np.finfo(float).eps * np.abs(dense).max())
+
     @pytest.mark.parametrize("k_sector", [1, 20])
     def test_sector_k_grows_until_certified(self, k_sector, monkeypatch):
         """Started with too few pairs per sector to certify the 80 requested,
