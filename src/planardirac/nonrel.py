@@ -412,23 +412,12 @@ def compare_limit(dirac_field: WaveField, schrod_field: WaveField) -> float:
     return _relative_distance(dirac_field.data[0], schrod_field.data)
 
 
-def _limit_spectra(k0: Momentum, n: int, t_final: float, params: PhysicalParams,
-                   sigma: float = None, box: float = None, steps: int = 1,
-                   upper_only: bool = False):
-    """The limit comparison done on unitary spectra, with no real-space step.
-
-    Builds U(dt) and the kinetic phase for dt = t_final/steps once, applies
-    them steps times to the spectrum of the normalized packet, and removes
-    the rest-mass phase.  Returns (out, grid, dirac, schrodinger): out holds
-    "distance", "vc_scale", "sigma" and "box"; schrodinger (n, n) and dirac
-    are the spectra at t_final, Dirac in the gauge frame.  dirac is the
-    (2, n, n) spinor, or with upper_only its (n, n) upper component alone.
-
-    upper_only serves runs that read only "distance" and takes one step:
-    from (psi, 0), U(t) gives the upper component diag * psi, so neither the
-    lower component nor U's off-diagonal is formed.  Its distance equals the
-    two-component run's bit for bit.
-    """
+def _limit_inputs(k0: Momentum, n: int, t_final: float, params: PhysicalParams,
+                  sigma: float = None, box: float = None, steps: int = None) -> dict:
+    """A limit run's inputs with the defaults filled in: sigma = 4/|k0| (box/24
+    at k0 = 0), box = 24*sigma, one step.  Runs with equal inputs are equal."""
+    if steps is not None and steps < 1:
+        raise ValueError("steps must be >= 1")
     if sigma is None:
         if k0.magnitude == 0.0:
             if box is None:
@@ -438,10 +427,29 @@ def _limit_spectra(k0: Momentum, n: int, t_final: float, params: PhysicalParams,
             sigma = 4.0 / k0.magnitude
     if box is None:
         box = 24.0 * sigma
+    return dict(k0=k0, n=n, t_final=t_final, params=params, sigma=sigma, box=box,
+                steps=steps or 1)
+
+
+def _limit_spectra(k0: Momentum, n: int, t_final: float, params: PhysicalParams,
+                   sigma: float = None, box: float = None, steps: int = None,
+                   upper_only: bool = False):
+    """The limit comparison done on unitary spectra, with no real-space step.
+
+    Builds U(dt) and the kinetic phase for dt = t_final/steps once, applies
+    them steps times to the spectrum of the normalized packet (the first step
+    from (psi, 0) in closed form), and removes the rest-mass phase.  Returns
+    (out, grid, dirac, schrodinger): out holds "distance", "vc_scale" and
+    "inputs" (_limit_inputs); schrodinger (n, n) and dirac are the spectra at
+    t_final, Dirac in the gauge frame.  dirac is the (2, n, n) spinor, or with
+    upper_only (one step) its upper component diag * psi alone.
+    """
+    inputs = _limit_inputs(k0, n, t_final, params, sigma, box, steps)
+    steps = inputs["steps"]
     if upper_only and steps != 1:
         raise ValueError("an upper-only run takes exactly one step")
-    grid = Grid2D(n, box)
-    factors = _gaussian_factors(grid, (0.0, 0.0), k0, sigma)
+    grid = Grid2D(n, inputs["box"])
+    factors = _gaussian_factors(grid, (0.0, 0.0), k0, inputs["sigma"])
     # The unitary DFT keeps the norm, so this normalizes the packet.
     schrod = _outer_spectrum(factors)
     schrod /= WaveField(grid, schrod).norm
@@ -451,8 +459,8 @@ def _limit_spectra(k0: Momentum, n: int, t_final: float, params: PhysicalParams,
     if upper_only:
         dirac = diag * schrod
     else:
-        dirac = np.stack([schrod, np.zeros_like(schrod)])
-        for _ in range(steps):
+        dirac = np.stack([diag * schrod, -(off * schrod)])
+        for _ in range(steps - 1):
             dirac = _dirac_step(dirac, diag, off)
     del diag, off  # freed before the kinetic phase is built: a lower peak
     kin_phase = _kinetic_phase(grid, params, dt, (0.0, 0.0))
@@ -462,8 +470,7 @@ def _limit_spectra(k0: Momentum, n: int, t_final: float, params: PhysicalParams,
     out = {
         "distance": _relative_distance(dirac if upper_only else dirac[0], schrod),
         "vc_scale": params.hbar * k0.magnitude / (params.m * params.c),
-        "sigma": sigma,
-        "box": box,
+        "inputs": inputs,
     }
     return out, grid, dirac, schrod
 
@@ -488,10 +495,8 @@ def run_limit_comparison(k0x: float, k0y: float = 0.0, n: int = 128,
     the boundary density and keep_fields.
     """
     params = params or PhysicalParams()
-    if steps is not None and steps < 1:
-        raise ValueError("steps must be >= 1")
     out, grid, dirac, schrod = _limit_spectra(Momentum(k0x, k0y), n, t_final, params,
-                                              sigma, box, steps or 1)
+                                              sigma, box, steps)
     dirac_t = WaveField(grid, np.fft.ifft2(dirac, norm="ortho"), gauge_frame=True,
                         time=t_final)
     schrod_t = WaveField(grid, np.fft.ifft2(schrod, norm="ortho"), time=t_final)
@@ -503,22 +508,20 @@ def run_limit_comparison(k0x: float, k0y: float = 0.0, n: int = 128,
 
 
 def limit_scaling_study(k0_values, n: int = 128, t_final: float = 10.0,
-                        params: PhysicalParams = None, known: dict = None) -> dict:
+                        params: PhysicalParams = None, known=()) -> dict:
     """Distances at several velocity scales plus the fitted log-log slope.
 
     Each |k0| value runs at k0 = (|k0|, 0), the default geometry and one
     step, and only its distance is read, so no run forms a lower component
-    or returns to real space.  known maps a |k0| value to a result of
-    run_limit_comparison for exactly that run; its distance and v/c are
-    used as they are, and that run is not repeated.  When a distance is
-    exactly 0 (the fields never moved apart, as at a subnormal t_final)
+    or returns to real space.  A result of run_limit_comparison in known
+    whose "inputs" equal such a run's is used in its place.  When a distance
+    is exactly 0 (the fields never moved apart, as at a subnormal t_final)
     there is nothing to fit: "slope" and "halving_ratios" are then None.
     """
     params = params or PhysicalParams()
-    known = known or {}
-    runs = [known[k] if k in known else
-            _limit_spectra(Momentum(k, 0.0), n, t_final, params, upper_only=True)[0]
-            for k in sorted(k0_values)]
+    inputs = [_limit_inputs(Momentum(k, 0.0), n, t_final, params) for k in sorted(k0_values)]
+    runs = [next((r for r in known if r["inputs"] == i), None)
+            or _limit_spectra(**i, upper_only=True)[0] for i in inputs]
     vcs = np.array([r["vc_scale"] for r in runs])
     distances = np.array([r["distance"] for r in runs])
     slope = ratios = None
@@ -563,9 +566,11 @@ def _landau_hamiltonian(b_field: float, grid: Grid2D,
 
     e = params.e
     m = params.m
+    # px and ax act on different tensor factors, so they commute exactly (as
+    # do py and ay): the cross terms of (P + eA)^2 are 2 (px ax + py ay).
     return (
         (-params.hbar**2 / (2 * m)) * lap
-        + (e / (2 * m)) * (px @ ax + ax @ px + py @ ay + ay @ py)
+        + (e / m) * (px @ ax + py @ ay)
         + (e**2 / (2 * m)) * (ax @ ax + ay @ ay)
     ).tocsr()
 
@@ -721,6 +726,12 @@ def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = None,
             f"[3h = {3 * h:.4g}, L/6 = {grid.length / 6:.4g}]"
         )
     n = grid.n
+    degeneracy = grid.length**2 / (2.0 * np.pi * magnetic_length**2)
+    k = int(np.ceil(n_levels * degeneracy + 3 * n_levels + 10))
+    if k > n * n - 2:
+        raise GridResolutionError(
+            f"{n_levels} levels need k = {k} eigenpairs, more than the "
+            f"n^2 - 2 = {n * n - 2} a {n}x{n} grid holds; lower n_levels")
     ham = _landau_hamiltonian(b_field, grid, params)
     orbits = _rotation_orbits(n)
     cyclotron = params.e * b_field / params.m
@@ -733,14 +744,17 @@ def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = None,
     if out["commutator"] != 0.0:
         return out | {"levels": None, "relative_errors": None, "below_shift": None}
 
-    degeneracy = grid.length**2 / (2.0 * np.pi * magnetic_length**2)
-    k = min(int(np.ceil(n_levels * degeneracy + 3 * n_levels + 10)), n * n - 2)
     values, weights, below_shift = _sector_lowest(ham, orbits, k, -(-k // 4) + 6)
 
     x = _cell_centers(grid)
     grid_x, grid_y = np.meshgrid(x, x, indexing="ij")
     radius = np.sqrt(grid_x**2 + grid_y**2).ravel()
     levels = _bulk_levels(values, radius[orbits[0]] @ weights, grid.length, n_levels)
+    if len(levels) < n_levels:
+        raise GridResolutionError(
+            f"found only {len(levels)} bulk level clusters among {values.size} eigenvalues "
+            f"at magnetic length {magnetic_length:.4g}, grid spacing h = {h:.4g} and box "
+            f"side L = {grid.length:.4g}")
     return out | {
         "levels": levels,
         "relative_errors": [abs(l / e0 - 1.0) for l, e0 in zip(levels, expected)],
@@ -750,8 +764,9 @@ def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = None,
 
 def _bulk_levels(values: np.ndarray, mean_radius: np.ndarray, length: float,
                  n_levels: int) -> list:
-    """The n_levels lowest bulk levels among ascending eigenvalues whose
-    states have the given mean radii, each at its most compact member."""
+    """The n_levels lowest bulk levels (fewer when fewer are found) among
+    ascending eigenvalues whose states have the given mean radii, each at its
+    most compact member."""
     compact = mean_radius <= COMPACT_RADIUS_FRACTION * length
     bulk_values = values[compact]
     bulk_radii = mean_radius[compact]
@@ -767,11 +782,6 @@ def _bulk_levels(values: np.ndarray, mean_radius: np.ndarray, length: float,
             clusters[-1].append(i)
         else:
             clusters.append([i])
-    if len(clusters) < n_levels:
-        raise GridResolutionError(
-            f"found only {len(clusters)} bulk level clusters among {values.size} "
-            "eigenvalues; enlarge the grid or lower n_levels"
-        )
     return [float(bulk_values[min(cluster, key=lambda i: bulk_radii[i])])
             for cluster in clusters[:n_levels]]
 

@@ -367,18 +367,25 @@ class TestLandauReport:
             ("rotation R commutes with H (C4 sectors)", False)]
         assert checks[0]["measured"] > 0.0
 
-    @pytest.mark.parametrize("levels", ["20", "64"])
-    def test_too_many_levels_exit_two(self, levels, capsys, monkeypatch):
-        """More levels than the grid-32 box holds is a usage error, also when
-        the sector k reaches its cap of n*n/4 - 2 (at 64 levels)."""
+    @pytest.mark.parametrize("levels,message,solved", [
+        pytest.param("20", "found only 3 bulk level clusters among 389 eigenvalues at "
+                     "magnetic length 2,", True, id="20"),
+        pytest.param("64", "64 levels need k = 1221 eigenpairs, more than the "
+                     "n^2 - 2 = 1022", False, id="64"),
+    ])
+    def test_too_many_levels_exit_two(self, levels, message, solved, capsys, monkeypatch):
+        """More levels than the grid-32 box holds is a usage error: found
+        after the solve at 20 levels, and refused before any eigensolve at 64,
+        whose k exceeds n*n - 2."""
         requested = []
         eigsh = cli.nonrel.eigsh
         monkeypatch.setattr(cli.nonrel, "eigsh",
                             lambda *a, **kw: requested.append(kw["k"]) or eigsh(*a, **kw))
         code, _, err = run_main(["landau", "--grid", "32", "--levels", levels], capsys)
         assert code == 2
-        assert "found only 3 bulk level clusters" in err
-        assert max(requested) <= 32 * 32 // 4 - 2
+        assert message in err
+        assert bool(requested) == solved
+        assert max(requested, default=0) <= 32 * 32 // 4 - 2
 
     def test_uncertified_shift_is_failed_check(self, capsys, monkeypatch):
         solve = cli.nonrel.landau_levels
@@ -413,10 +420,12 @@ class TestEvolveCommand:
         ([], 3), (["--steps", "1"], 3),
         (["--k0x=-0.05"], 4), (["--k0y", "0.01"], 4), (["--sigma", "90"], 4),
         (["--box", "2000"], 4), (["--steps", "2"], 4),
+        (["--sigma", "80"], 3), (["--box", "1920"], 3),
     ])
     def test_main_run_reused_only_when_identical(self, flags, runs, capsys, monkeypatch):
-        """The |k0| scaling run repeats the main run exactly when k0 lies on
-        +x at the default geometry and one step; only then is it reused."""
+        """The |k0| scaling run is the main run whenever their resolved inputs
+        are equal, whether flags are omitted or spell out the defaults; only
+        then is it reused."""
         calls = []
         spectra = cli.nonrel._limit_spectra
         monkeypatch.setattr(cli.nonrel, "_limit_spectra",

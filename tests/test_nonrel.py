@@ -483,17 +483,25 @@ class TestCompareLimit:
                               upper_only=True)
 
     def test_scaling_study_uses_known_runs(self, monkeypatch):
-        """A run passed in as known is used as it is and not repeated."""
+        """A known run is used, and not repeated, only when its resolved
+        inputs equal the study run's; a run at other inputs is ignored."""
         run = nr.run_limit_comparison(0.05, n=128, t_final=10.0)
+        others = [nr.run_limit_comparison(0.05, n=128, t_final=10.0, steps=2),
+                  nr.run_limit_comparison(0.05, n=128, t_final=10.0, sigma=90.0)]
         fresh = nr.limit_scaling_study([0.025, 0.05, 0.1], n=128, t_final=10.0)
         calls = []
         spectra = nr._limit_spectra
         monkeypatch.setattr(nr, "_limit_spectra",
                             lambda k0, *a, **kw: calls.append(k0.kx) or spectra(k0, *a, **kw))
         reused = nr.limit_scaling_study([0.025, 0.05, 0.1], n=128, t_final=10.0,
-                                        known={0.05: run})
+                                        known=[*others, run])
         assert calls == [0.025, 0.1]
         assert reused == fresh
+        calls.clear()
+        ignored = nr.limit_scaling_study([0.025, 0.05, 0.1], n=128, t_final=10.0,
+                                         known=others)
+        assert calls == [0.025, 0.05, 0.1]
+        assert ignored == fresh
 
     def test_distance_is_dimensionless(self):
         """The same v/c and the same time in rest-energy units must give the
