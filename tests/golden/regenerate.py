@@ -20,6 +20,13 @@ from planardirac import cli
 CORPUS = Path(__file__).resolve().parent
 
 ARGV = [
+    ["algebra"],
+    ["spinor", "--kx", "1"],
+    ["spinor", "--kx", "1", "--ky", "0.5"],
+    ["spinor", "--kx", "1e5"],
+    *(["fock", "--modes", str(m)] for m in range(1, 7)),
+    ["fock", "--modes", "2", "--literal-68"],
+    ["fock", "--modes", "3", "--box", "3"],
     ["evolve"],
     ["evolve", "--grid", "256"],
     ["evolve", "--grid", "256", "--steps", "4"],
@@ -35,6 +42,8 @@ ARGV = [
     ["evolve", "--grid", "128", "--k0y", "0.02", "--steps", "4"],
     ["evolve", "--k0x", "0", "--sigma", "5"],
     ["landau", "--grid", "32"],
+    ["landau", "--grid", "64"],
+    ["landau", "--grid", "64", "--B", "0.5"],
 ]
 
 
