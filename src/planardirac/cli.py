@@ -336,7 +336,7 @@ def run_landau(report: RunReport, args: argparse.Namespace) -> None:
         return
 
     doubled_length = result["magnetic_length"] / np.sqrt(2.0)
-    if doubled_length >= 3.0 * grid.spacing and args.levels >= 2:
+    if doubled_length >= nonrel.MAGNETIC_LENGTH_SPACINGS * grid.spacing and args.levels >= 2:
         doubled = nonrel.landau_levels(2.0 * b_field, grid, params, n_levels=2)
         if not _add_solve_checks(report, ", B doubled", doubled):
             return

@@ -537,6 +537,9 @@ def limit_scaling_study(k0_values, n: int = 128, t_final: float = 10.0,
 # relative gap belong to one level.
 COMPACT_RADIUS_FRACTION = 0.25
 CLUSTER_REL_GAP = 2e-2
+# landau_levels solves at magnetic lengths in [3h, L/6], grid spacing h, box side L.
+MAGNETIC_LENGTH_SPACINGS = 3.0
+MAGNETIC_LENGTH_BOX_DIVISOR = 6.0
 
 
 def _cell_centers(grid: Grid2D) -> np.ndarray:
@@ -548,30 +551,23 @@ def _cell_centers(grid: Grid2D) -> np.ndarray:
 
 def _landau_hamiltonian(b_field: float, grid: Grid2D,
                         params: PhysicalParams) -> sparse.csr_matrix:
-    """(1/2m)(P + eA)^2 in the symmetric gauge, 5-point stencils, Dirichlet box."""
+    """(1/2m)(P + eA)^2 in the symmetric gauge A = (B/2)(-y, x), 5-point
+    stencils, Dirichlet box, as three Kronecker terms: with a = (B/2) x and
+    D1, D2 the central differences on one axis, -hbar^2/2m (D2 (x) I + I (x) D2)
+    + (-i hbar e/m)(diag(a) (x) D1 - D1 (x) diag(a)) + (e^2/2m)(diag(a^2) (x) I
+    + I (x) diag(a^2)).  px and Ax act on different factors and commute, so the
+    cross term is (e/m)(px Ax + py Ay)."""
     n = grid.n
     h = grid.spacing
-    x = _cell_centers(grid)
-    eye = sparse.identity(n, format="csr")
-    main = -2.0 * np.ones(n)
+    a = sparse.diags(0.5 * b_field * _cell_centers(grid))
     off = np.ones(n - 1)
-    d2 = sparse.diags([off, main, off], [-1, 0, 1], format="csr") / h**2
-    d1 = sparse.diags([-off, off], [-1, 1], format="csr") / (2.0 * h)
-
-    lap = sparse.kron(d2, eye) + sparse.kron(eye, d2)
-    px = -1j * params.hbar * sparse.kron(d1, eye)
-    py = -1j * params.hbar * sparse.kron(eye, d1)
-    ax = sparse.kron(eye, sparse.diags(-0.5 * b_field * x))  # -B y / 2
-    ay = sparse.kron(sparse.diags(0.5 * b_field * x), eye)   # +B x / 2
-
-    e = params.e
-    m = params.m
-    # px and ax act on different tensor factors, so they commute exactly (as
-    # do py and ay): the cross terms of (P + eA)^2 are 2 (px ax + py ay).
+    d2 = sparse.diags([off, -2.0 * np.ones(n), off], [-1, 0, 1]) / h**2
+    d1 = sparse.diags([-off, off], [-1, 1]) / (2.0 * h)
+    hbar, e, m = params.hbar, params.e, params.m
     return (
-        (-params.hbar**2 / (2 * m)) * lap
-        + (e / m) * (px @ ax + py @ ay)
-        + (e**2 / (2 * m)) * (ax @ ax + ay @ ay)
+        (-hbar**2 / (2 * m)) * sparse.kronsum(d2, d2)
+        + (-1j * hbar * e / m) * (sparse.kron(a, d1) - sparse.kron(d1, a))
+        + (e**2 / (2 * m)) * sparse.kronsum(a @ a, a @ a)
     ).tocsr()
 
 
@@ -581,16 +577,11 @@ def _rotation_orbits(n: int) -> np.ndarray:
 
     Row r is R^r applied to the lower-left quadrant, so column q holds the
     orbit of quadrant cell q: four distinct cells at one distance from the
-    centre, and every cell of the grid lies in exactly one orbit.
+    centre, and every cell of the grid lies in exactly one orbit.  R^r (i, j)
+    is cell (i, j) of the index grid rotated clockwise r times.
     """
-    half = n // 2
-    i, j = (a.ravel() for a in np.meshgrid(np.arange(half), np.arange(half),
-                                            indexing="ij"))
-    rows = []
-    for _ in range(4):
-        rows.append(i * n + j)
-        i, j = n - 1 - j, i
-    return np.array(rows)
+    cells = np.arange(n * n).reshape(n, n)
+    return np.array([np.rot90(cells, -r)[:n // 2, :n // 2].ravel() for r in range(4)])
 
 
 def _rotation_commutator(ham: sparse.csr_matrix, orbits: np.ndarray) -> float:
@@ -720,10 +711,13 @@ def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = None,
         raise ValueError("n_levels must be >= 1")
     magnetic_length = np.sqrt(params.hbar / (params.e * b_field))
     h = grid.spacing
-    if magnetic_length < 3.0 * h or magnetic_length > grid.length / 6.0:
+    lowest = MAGNETIC_LENGTH_SPACINGS * h
+    highest = grid.length / MAGNETIC_LENGTH_BOX_DIVISOR
+    if magnetic_length < lowest or magnetic_length > highest:
         raise GridResolutionError(
             f"magnetic length {magnetic_length:.4g} outside "
-            f"[3h = {3 * h:.4g}, L/6 = {grid.length / 6:.4g}]"
+            f"[{MAGNETIC_LENGTH_SPACINGS:g}h = {lowest:.4g}, "
+            f"L/{MAGNETIC_LENGTH_BOX_DIVISOR:g} = {highest:.4g}]"
         )
     n = grid.n
     degeneracy = grid.length**2 / (2.0 * np.pi * magnetic_length**2)
@@ -746,10 +740,10 @@ def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = None,
 
     values, weights, below_shift = _sector_lowest(ham, orbits, k, -(-k // 4) + 6)
 
-    x = _cell_centers(grid)
-    grid_x, grid_y = np.meshgrid(x, x, indexing="ij")
-    radius = np.sqrt(grid_x**2 + grid_y**2).ravel()
-    levels = _bulk_levels(values, radius[orbits[0]] @ weights, grid.length, n_levels)
+    # Orbit q lies at the radius of its quadrant cell (i, j), i and j < n/2.
+    squares = _cell_centers(grid)[:n // 2] ** 2
+    radius = np.sqrt(np.add.outer(squares, squares)).ravel()
+    levels = _bulk_levels(values, radius @ weights, grid.length, n_levels)
     if len(levels) < n_levels:
         raise GridResolutionError(
             f"found only {len(levels)} bulk level clusters among {values.size} eigenvalues "
@@ -775,15 +769,10 @@ def _bulk_levels(values: np.ndarray, mean_radius: np.ndarray, length: float,
             "no compact eigenstates found; enlarge the box relative to the "
             "magnetic length"
         )
-
-    clusters = [[0]]
-    for i in range(1, bulk_values.size):
-        if bulk_values[i] - bulk_values[i - 1] <= CLUSTER_REL_GAP * abs(bulk_values[i]):
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return [float(bulk_values[min(cluster, key=lambda i: bulk_radii[i])])
-            for cluster in clusters[:n_levels]]
+    cuts = np.flatnonzero(
+        np.diff(bulk_values) > CLUSTER_REL_GAP * np.abs(bulk_values[1:])) + 1
+    return [float(v[np.argmin(r)]) for v, r in
+            zip(np.split(bulk_values, cuts)[:n_levels], np.split(bulk_radii, cuts))]
 
 
 def export_csv(f: WaveField, path) -> None:

@@ -395,6 +395,23 @@ class TestLandauReport:
         assert code == 1
         assert "inertia unknown" in err
 
+    def test_doubled_solve_follows_the_field_window(self, capsys, monkeypatch):
+        """The doubled-B solve runs only where landau_levels accepts 2B, and
+        both read the window from nonrel's constants.  At grid 64, box 20,
+        the default magnetic length 2 lies inside [5h, L/6] = [1.5625, 3.33]
+        but 2/sqrt(2) does not, so the report has no B-doubled check."""
+        monkeypatch.setattr(cli.nonrel, "MAGNETIC_LENGTH_SPACINGS", 5.0)
+        code, out, _ = run_main(["--json", "landau", "--grid", "64"], capsys)
+        assert code == 0
+        names = [c["name"] for c in json.loads(out)["checks"]]
+        assert len(names) == 5 and not any("B doubled" in name for name in names)
+        with pytest.raises(cli.nonrel.GridResolutionError, match=r"\[5h = 1.562,"):
+            cli.nonrel.landau_levels(0.5, cli.nonrel.Grid2D(64, 20.0))
+        monkeypatch.setattr(cli.nonrel, "MAGNETIC_LENGTH_BOX_DIVISOR", 12.0)
+        code, _, err = run_main(["landau", "--grid", "64"], capsys)
+        assert code == 2
+        assert "magnetic length 2 outside [5h = 1.562, L/12 = 1.667]" in err
+
 
 class TestEvolveCommand:
     def test_zero_time_distance(self, capsys):

@@ -3,6 +3,7 @@ field snapshot formats."""
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from planardirac import nonrel as nr
 from planardirac.algebra import matrix_exponential, pauli
@@ -10,6 +11,7 @@ from planardirac.planewave import Momentum, PhysicalParams
 from planardirac.planewave import g1 as g1_amplitude
 
 NATURAL = PhysicalParams()
+SCALED = PhysicalParams(m=2.0, c=3.0, hbar=0.7, e=1.3)
 
 
 def single_mode_field(kx, n=16, gauge_frame=False):
@@ -624,6 +626,94 @@ class TestLandauLevels:
         assert np.abs(weights.sum(axis=0) - 1.0).max() <= 1e-12
         assert below_shift == 0
         assert requested[:4] == [k_sector] * 4 and len(requested) > 4
+
+    @pytest.mark.parametrize("params", [NATURAL, SCALED], ids=["natural", "scaled"])
+    @pytest.mark.parametrize("n, box, b_field", [(16, 4.0, 1.0), (32, 20.0, 0.25),
+                                                 (32, 17.3, 0.3)])
+    def test_hamiltonian_is_the_product_form(self, n, box, b_field, params):
+        """H equals (1/2m)[(px + e Ax)^2 + (py + e Ay)^2] built from sparse
+        products, with px^2 + py^2 on the 5-point Laplacian and the cross
+        terms unsimplified: entry for entry in natural units, and within a
+        few ulp of max|H| at other constants."""
+        grid = nr.Grid2D(n, box)
+        x = nr._cell_centers(grid)
+        eye = sparse.identity(n, format="csr")
+        off = np.ones(n - 1)
+        d2 = sparse.diags([off, -2.0 * np.ones(n), off], [-1, 0, 1], format="csr")
+        d1 = sparse.diags([-off, off], [-1, 1], format="csr") / (2.0 * grid.spacing)
+        px = -1j * params.hbar * sparse.kron(d1, eye)
+        py = -1j * params.hbar * sparse.kron(eye, d1)
+        ax = sparse.kron(eye, sparse.diags(-0.5 * b_field * x))  # -B y / 2
+        ay = sparse.kron(sparse.diags(0.5 * b_field * x), eye)   # +B x / 2
+        kinetic = -params.hbar**2 * (sparse.kron(d2, eye) + sparse.kron(eye, d2))
+        cross = px @ ax + ax @ px + py @ ay + ay @ py
+        reference = ((kinetic / grid.spacing**2 + params.e * cross
+                      + params.e**2 * (ax @ ax + ay @ ay)) / (2 * params.m)).toarray()
+        ham = nr._landau_hamiltonian(b_field, grid, params).toarray()
+        if params is NATURAL:
+            assert np.array_equal(ham, reference)
+        else:
+            assert np.abs(ham - reference).max() <= 4 * np.finfo(float).eps * np.abs(
+                reference).max()
+            assert np.array_equal(ham != 0, reference != 0)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 64])
+    def test_rotation_orbits_iterate_the_map(self, n):
+        """Row r holds R^r of the quadrant cells, R: (i, j) -> (n-1-j, i)
+        applied r times, and the orbits partition the grid."""
+        half = n // 2
+        i, j = (a.ravel() for a in np.meshgrid(np.arange(half), np.arange(half),
+                                                indexing="ij"))
+        rows = []
+        for _ in range(4):
+            rows.append(i * n + j)
+            i, j = n - 1 - j, i
+        orbits = nr._rotation_orbits(n)
+        assert np.array_equal(orbits, np.array(rows))
+        assert np.array_equal(np.sort(orbits.ravel()), np.arange(n * n))
+
+    @staticmethod
+    def _loop_bulk_levels(values, mean_radius, length, n_levels):
+        """The reference clustering: one pass, a new cluster at each gap above
+        CLUSTER_REL_GAP * |value|, each reported at its first most compact
+        member."""
+        compact = mean_radius <= nr.COMPACT_RADIUS_FRACTION * length
+        bulk, radii = values[compact], mean_radius[compact]
+        clusters = [[0]]
+        for i in range(1, bulk.size):
+            if bulk[i] - bulk[i - 1] <= nr.CLUSTER_REL_GAP * abs(bulk[i]):
+                clusters[-1].append(i)
+            else:
+                clusters.append([i])
+        return [float(bulk[min(c, key=lambda i: radii[i])]) for c in clusters[:n_levels]]
+
+    @pytest.mark.parametrize("values, radii", [
+        pytest.param([1.0], [0.5], id="single"),
+        pytest.param([1.0, 1.001, 1.002, 2.0, 2.01, 3.0], [1.0, 0.5, 0.5, 2.0, 2.0, 9.0],
+                     id="ties"),
+        # 100 - 98 == 0.02 * 100 exactly: the gap joins; one ulp lower splits.
+        pytest.param([98.0, 100.0, 150.0], [1.0, 2.0, 1.0], id="gap-at-bound"),
+        pytest.param([np.nextafter(98.0, 0.0), 100.0, 150.0], [1.0, 2.0, 1.0],
+                     id="gap-above-bound"),
+    ])
+    @pytest.mark.parametrize("n_levels", [1, 2, 3])
+    def test_bulk_levels_match_the_loop(self, values, radii, n_levels):
+        values, radii = np.array(values), np.array(radii)
+        assert nr._bulk_levels(values, radii, 10.0, n_levels) == self._loop_bulk_levels(
+            values, radii, 10.0, n_levels)
+
+    def test_bulk_levels_match_the_loop_on_random_spectra(self):
+        """Runs of close values at random gaps, radii with repeats, some at
+        and above the compact cut 2.5."""
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            size = int(rng.integers(1, 40))
+            values = np.cumsum(rng.choice([0.0, 1e-3, 0.019, 0.02, 0.021, 0.5], size)) + 1.0
+            radii = rng.choice([0.5, 1.0, 2.0, 2.5, 3.0], size)
+            radii[rng.integers(size)] = 1.0  # at least one compact state
+            n_levels = int(rng.integers(1, 6))
+            assert nr._bulk_levels(values, radii, 10.0, n_levels) == self._loop_bulk_levels(
+                values, radii, 10.0, n_levels)
 
     def test_discretization_is_second_order(self):
         """The 5-point-stencil levels converge to hbar*w_c*(n+1/2) as h^2:
