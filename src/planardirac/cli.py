@@ -29,6 +29,7 @@ from . import algebra, fock, nonrel, planewave
 from .planewave import (
     Branch,
     DegenerateNormalizationError,
+    NATURAL_UNITS,
     Momentum,
     PhysicalParams,
 )
@@ -323,7 +324,7 @@ def _add_solve_checks(report: RunReport, suffix: str, result: dict) -> bool:
 
 
 def run_landau(report: RunReport, args: argparse.Namespace) -> None:
-    params = PhysicalParams()
+    params = NATURAL_UNITS
     grid = nonrel.Grid2D(args.grid, args.box)
     b_field = args.B
     if b_field is None:

@@ -28,6 +28,7 @@ from scipy import sparse
 from .algebra import anticommutator, commutator, pauli
 from .planewave import (
     Branch,
+    NATURAL_UNITS,
     Momentum,
     PhysicalParams,
     dispersion_omega,
@@ -55,7 +56,7 @@ class ModeSet:
 
     wave_vectors: tuple
     box_side: float
-    params: PhysicalParams = field(default_factory=PhysicalParams)
+    params: PhysicalParams = NATURAL_UNITS
     momenta: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -103,11 +104,11 @@ _DEFAULT_INTEGER_MODES = {
 
 
 def default_symmetric_modes(n_modes: int, box_side: float = 2.0 * np.pi,
-                            params: PhysicalParams = None) -> ModeSet:
+                            params: PhysicalParams = NATURAL_UNITS) -> ModeSet:
     """Momentum-symmetric ModeSet (every k paired with -k) of size n_modes."""
     if n_modes not in _DEFAULT_INTEGER_MODES:
         raise CapacityError(f"no default mode pattern for M={n_modes}; M must be in 1..{M_MAX}")
-    return ModeSet(_DEFAULT_INTEGER_MODES[n_modes], box_side, params or PhysicalParams())
+    return ModeSet(_DEFAULT_INTEGER_MODES[n_modes], box_side, params)
 
 
 @dataclass

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .planewave import Momentum, PhysicalParams
+from .planewave import NATURAL_UNITS, Momentum, PhysicalParams
 
 
 class GridResolutionError(ValueError):
@@ -179,14 +179,13 @@ def _outer_spectrum(factors) -> np.ndarray:
 
 def build_gaussian(grid: Grid2D, center, k0: Momentum, sigma: float,
                    components: int = 1,
-                   params: PhysicalParams = None) -> WaveField:
+                   params: PhysicalParams = NATURAL_UNITS) -> WaveField:
     """Normalized Gaussian packet of width sigma carrying mean momentum k0.
 
     |psi|^2 has per-axis variance sigma^2.  The 2-component variant projects
     every Fourier mode onto the positive-branch spinor u_N(k), so the packet
     is free of negative-branch weight.
     """
-    params = params or PhysicalParams()
     factors = _gaussian_factors(grid, center, k0, sigma)
     if components == 1:
         return WaveField(grid, np.multiply.outer(*factors)).normalized()
@@ -198,9 +197,8 @@ def build_gaussian(grid: Grid2D, center, k0: Momentum, sigma: float,
     return WaveField(grid, data).normalized()
 
 
-def negative_branch_weight(f: WaveField, params: PhysicalParams = None) -> float:
+def negative_branch_weight(f: WaveField, params: PhysicalParams = NATURAL_UNITS) -> float:
     """Fraction of the norm carried by negative-branch modes (metric projection)."""
-    params = params or PhysicalParams()
     if f.components != 2:
         raise ValueError("negative_branch_weight expects a 2-component field")
     g1, divisor = _spinor_weights(f.grid, params)
@@ -229,13 +227,23 @@ def _dirac_propagator(grid: Grid2D, params: PhysicalParams, t: float,
     return diag, (None if diagonal_only else _mirror(sin_t) * _momentum(q))
 
 
-def _dirac_step(spectrum: np.ndarray, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Apply U (from _dirac_propagator) to a (2, n, n) spectrum, row by row."""
+def _dirac_step(spectrum: np.ndarray, diag: np.ndarray, off: np.ndarray,
+                steps: int = 1) -> None:
+    """Apply U (from _dirac_propagator) steps times to a (2, n, n) spectrum,
+    in place: up <- diag up + conj(off) low, low <- conj(diag) low - off up.
+    Each product keeps that operand order, since a complex product need not
+    round the same with its operands swapped."""
+    if steps < 1:
+        return
     up, low = spectrum
-    out = np.empty_like(spectrum)
-    out[0] = diag * up + np.conj(off) * low
-    out[1] = np.conj(diag) * low - off * up
-    return out
+    diag_c, off_c = np.conj(diag), np.conj(off)
+    off_up, off_c_low = np.empty_like(up), np.empty_like(up)
+    for _ in range(steps):
+        np.multiply(off, up, out=off_up)
+        np.multiply(diag, up, out=up)
+        np.add(up, np.multiply(off_c, low, out=off_c_low), out=up)
+        np.multiply(diag_c, low, out=low)
+        np.subtract(low, off_up, out=low)
 
 
 def _rest_phase(params: PhysicalParams, t: float) -> complex:
@@ -243,35 +251,32 @@ def _rest_phase(params: PhysicalParams, t: float) -> complex:
     return np.exp(1j * params.rest_energy * t / params.hbar)
 
 
-def evolve_dirac(f: WaveField, t: float, params: PhysicalParams = None) -> WaveField:
+def evolve_dirac(f: WaveField, t: float, params: PhysicalParams = NATURAL_UNITS) -> WaveField:
     """Advance a 2-component field by exp(-i t H(k)/hbar) mode-by-mode."""
-    params = params or PhysicalParams()
     if f.components != 2:
         raise ValueError("evolve_dirac expects a 2-component field")
     if f.gauge_frame:
         raise GaugeFrameError("evolve_dirac expects a lab-frame field")
-    spectrum = _dirac_step(np.fft.fft2(f.data, norm="ortho"),
-                           *_dirac_propagator(f.grid, params, t))
+    spectrum = np.fft.fft2(f.data, norm="ortho")
+    _dirac_step(spectrum, *_dirac_propagator(f.grid, params, t))
     data = np.fft.ifft2(spectrum, norm="ortho")
     return WaveField(f.grid, data, gauge_frame=False, time=f.time + t)
 
 
-def remove_rest_phase(f: WaveField, t: float, params: PhysicalParams = None) -> WaveField:
+def remove_rest_phase(f: WaveField, t: float, params: PhysicalParams = NATURAL_UNITS) -> WaveField:
     """Multiply by exp(+i m c^2 t / hbar), moving to the co-rotating frame."""
-    params = params or PhysicalParams()
     if f.gauge_frame:
         raise GaugeFrameError("rest-mass phase already removed from this field")
     return replace(f, data=f.data * _rest_phase(params, t), gauge_frame=True)
 
 
-def small_component(f: WaveField, params: PhysicalParams = None) -> WaveField:
+def small_component(f: WaveField, params: PhysicalParams = NATURAL_UNITS) -> WaveField:
     """Closure estimate of the lower component from the upper one.
 
     In the co-rotating frame the lower component is slaved to the upper:
     psi_low ~= -(hbar / 2mc) (d_x + i d_y) psi_up, accurate to O((v/c)^2);
     per mode that is -i p / (2 m c^2) times the upper amplitude.
     """
-    params = params or PhysicalParams()
     if f.components != 2:
         raise ValueError("small_component expects a 2-component field")
     if not f.gauge_frame:
@@ -345,7 +350,7 @@ def _kinetic_phase(grid: Grid2D, params: PhysicalParams, dt: float, vector) -> n
     return np.multiply.outer(x_phase, y_phase)
 
 
-def evolve_schrodinger(f: WaveField, t: float, params: PhysicalParams = None,
+def evolve_schrodinger(f: WaveField, t: float, params: PhysicalParams = NATURAL_UNITS,
                        pot: PotentialConfig = None, steps: int = None) -> WaveField:
     """Advance a scalar field under the planar Schrodinger equation.
 
@@ -354,7 +359,6 @@ def evolve_schrodinger(f: WaveField, t: float, params: PhysicalParams = None,
     the real-space scalar phase exp(-i e c a0 dt / hbar); second order in the
     step size.  Without a potential this is one step, exact at every mode.
     """
-    params = params or PhysicalParams()
     if f.components != 1:
         raise ValueError("evolve_schrodinger expects a scalar field")
     if t == 0.0:
@@ -460,8 +464,7 @@ def _limit_spectra(k0: Momentum, n: int, t_final: float, params: PhysicalParams,
         dirac = diag * schrod
     else:
         dirac = np.stack([diag * schrod, -(off * schrod)])
-        for _ in range(steps - 1):
-            dirac = _dirac_step(dirac, diag, off)
+        _dirac_step(dirac, diag, off, steps - 1)
     del diag, off  # freed before the kinetic phase is built: a lower peak
     kin_phase = _kinetic_phase(grid, params, dt, (0.0, 0.0))
     for _ in range(steps):
@@ -477,7 +480,7 @@ def _limit_spectra(k0: Momentum, n: int, t_final: float, params: PhysicalParams,
 
 def run_limit_comparison(k0x: float, k0y: float = 0.0, n: int = 128,
                          t_final: float = 10.0,
-                         params: PhysicalParams = None,
+                         params: PhysicalParams = NATURAL_UNITS,
                          sigma: float = None, box: float = None,
                          steps: int = None, keep_fields: bool = False) -> dict:
     """Evolve the same initial upper component under both dynamics and compare.
@@ -494,7 +497,6 @@ def run_limit_comparison(k0x: float, k0y: float = 0.0, n: int = 128,
     the group property).  Only the final fields return to real space, for
     the boundary density and keep_fields.
     """
-    params = params or PhysicalParams()
     out, grid, dirac, schrod = _limit_spectra(Momentum(k0x, k0y), n, t_final, params,
                                               sigma, box, steps)
     dirac_t = WaveField(grid, np.fft.ifft2(dirac, norm="ortho"), gauge_frame=True,
@@ -508,7 +510,7 @@ def run_limit_comparison(k0x: float, k0y: float = 0.0, n: int = 128,
 
 
 def limit_scaling_study(k0_values, n: int = 128, t_final: float = 10.0,
-                        params: PhysicalParams = None, known=()) -> dict:
+                        params: PhysicalParams = NATURAL_UNITS, known=()) -> dict:
     """Distances at several velocity scales plus the fitted log-log slope.
 
     Each |k0| value runs at k0 = (|k0|, 0), the default geometry and one
@@ -518,7 +520,6 @@ def limit_scaling_study(k0_values, n: int = 128, t_final: float = 10.0,
     is exactly 0 (the fields never moved apart, as at a subnormal t_final)
     there is nothing to fit: "slope" and "halving_ratios" are then None.
     """
-    params = params or PhysicalParams()
     inputs = [_limit_inputs(Momentum(k, 0.0), n, t_final, params) for k in sorted(k0_values)]
     runs = [next((r for r in known if r["inputs"] == i), None)
             or _limit_spectra(**i, upper_only=True)[0] for i in inputs]
@@ -675,7 +676,7 @@ def _sector_lowest(ham: sparse.csr_matrix, orbits: np.ndarray, k: int,
     return values[certified], weights[:, certified], below_shift
 
 
-def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = None,
+def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = NATURAL_UNITS,
                   n_levels: int = 3) -> dict:
     """Lowest Landau levels of the minimally coupled Schrodinger Hamiltonian.
 
@@ -704,7 +705,6 @@ def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = None,
     returned the lowest states; see _lowest_eigenpairs), or None when a
     factorization cannot tell.
     """
-    params = params or PhysicalParams()
     if b_field <= 0:
         raise ValueError("magnetic field strength must be positive")
     if n_levels < 1:

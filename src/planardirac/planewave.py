@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,6 +81,10 @@ class PhysicalParams:
     def compton_wavenumber(self) -> float:
         """m c / hbar, the inverse (reduced) Compton wavelength."""
         return self.m * self.c / self.hbar
+
+
+# The default of every params argument: frozen, so one instance is shared.
+NATURAL_UNITS = PhysicalParams()
 
 
 @dataclass(frozen=True)
@@ -173,7 +177,7 @@ class PlaneWaveSolution:
     momentum: Momentum
     omega: float
     spinor: Spinor2
-    params: PhysicalParams = field(default_factory=PhysicalParams)
+    params: PhysicalParams = NATURAL_UNITS
 
     @property
     def energy(self) -> float:
