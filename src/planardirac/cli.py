@@ -27,9 +27,9 @@ from scipy.linalg import expm
 
 from . import algebra, fock, nonrel, planewave
 from .planewave import (
+    NATURAL_UNITS,
     Branch,
     DegenerateNormalizationError,
-    NATURAL_UNITS,
     Momentum,
     PhysicalParams,
 )

@@ -27,8 +27,8 @@ from scipy import sparse
 
 from .algebra import anticommutator, commutator, pauli
 from .planewave import (
-    Branch,
     NATURAL_UNITS,
+    Branch,
     Momentum,
     PhysicalParams,
     dispersion_omega,

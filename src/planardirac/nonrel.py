@@ -553,11 +553,9 @@ def _cell_centers(grid: Grid2D) -> np.ndarray:
 def _landau_hamiltonian(b_field: float, grid: Grid2D,
                         params: PhysicalParams) -> sparse.csr_matrix:
     """(1/2m)(P + eA)^2 in the symmetric gauge A = (B/2)(-y, x), 5-point
-    stencils, Dirichlet box, as three Kronecker terms: with a = (B/2) x and
-    D1, D2 the central differences on one axis, -hbar^2/2m (D2 (x) I + I (x) D2)
-    + (-i hbar e/m)(diag(a) (x) D1 - D1 (x) diag(a)) + (e^2/2m)(diag(a^2) (x) I
-    + I (x) diag(a^2)).  px and Ax act on different factors and commute, so the
-    cross term is (e/m)(px Ax + py Ay)."""
+    stencils, Dirichlet box, as three Kronecker terms in diag(a), a = (B/2) x.
+    px and Ax act on different tensor factors and commute, as do py and Ay,
+    so the cross term is (e/m)(px Ax + py Ay)."""
     n = grid.n
     h = grid.spacing
     a = sparse.diags(0.5 * b_field * _cell_centers(grid))
