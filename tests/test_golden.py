@@ -4,9 +4,8 @@ Values are compared through their JSON text: a float's repr round-trips, so
 equal text means bit-identical values (the NaN of a failed check included).
 Only values that pass through BLAS or LAPACK get a stated relative bound,
 because OpenBLAS picks its kernels by CPU.  Measured on one machine over 18
-OPENBLAS_CORETYPE settings (Haswell, Zen, Sandybridge, Prescott, Core2,
-Nehalem, Atom, Penryn, Dunnington, Katmai, Opteron, Barcelona, Bulldozer,
-Piledriver, Excavator, SkylakeX, Cooperlake, SapphireRapids):
+OPENBLAS_CORETYPE settings, from Katmai, Prescott and Core2 to Haswell, Zen,
+SkylakeX and SapphireRapids:
 
 - the least-squares slope (np.polyfit) of `evolve` moved by up to 2 ulp
   (4.3e-16 relative): bound 1e-14;
@@ -21,9 +20,9 @@ Piledriver, Excavator, SkylakeX, Cooperlake, SapphireRapids):
 
 Every other value, including all distances, the `spinor` determinants
 (LAPACK getrf) and the `fock` state norms (BLAS dot), stayed bit-identical
-under those kernels and with numpy's AVX-512 paths disabled.  A CPU without
-AVX2, where numpy's own sin, cos and exp loops round differently, is outside
-what the corpus pins.
+under those kernels and with numpy's AVX-512 paths disabled.  With numpy's
+AVX2 paths disabled too, as on a CPU without AVX2, numpy's own sin, cos and
+exp loops round differently and the `evolve` reports do not reproduce.
 
 When a report differs, the failure lists the largest relative move of each
 check and parameter that moved.  Regenerate the corpus with
