@@ -277,6 +277,11 @@ def run_evolve(report: RunReport, args: argparse.Namespace) -> None:
     report.add(bound_check("dirac vs schrodinger relative distance",
                            run["distance"], 1e-12 if args.time == 0.0 else 1e-2))
     report.add(bound_check("boundary density", run["boundary_density"], 1e-8))
+    closure_name = "small-component closure / <(hbar k/mc)^2>"
+    if run["closure"] is None:
+        report.add(failed_check(closure_name, "the packet has no lower component to close"))
+    else:
+        report.add(bound_check(closure_name, run["closure"], 1.0))
 
     k0_mag = float(np.hypot(args.k0x, args.k0y))
     if args.time > 0.0 and k0_mag > 0.0:

@@ -171,10 +171,37 @@ def _gaussian_factors(grid: Grid2D, center, k0: Momentum, sigma: float):
             np.exp(-((y - center[1]) ** 2) / width + 1j * k0.ky * y))
 
 
-def _outer_spectrum(factors) -> np.ndarray:
-    """Unitary 2-D DFT of np.multiply.outer(*factors)."""
-    fx, fy = (np.fft.fft(f, norm="ortho") for f in factors)
-    return np.multiply.outer(fx, fy)
+def _closure_ratio(grid: Grid2D, params: PhysicalParams, spectra) -> float | None:
+    """The small-component closure error of a positive-branch packet over
+    its mean (hbar |k| / m c)^2, or None when it has no lower component.
+
+    spectra are the unitary DFTs of the packet's x and y factors, S their
+    outer product.  The packet is (S, G1 S) / divisor per mode, and the
+    closure error is ||(G1 - s) S / divisor|| / ||G1 S / divisor|| for the
+    estimate s = -i p / (2 m c^2).  Per mode |G1 / divisor|^2 =
+    |p|^2 / (2 m c^2 (E + m c^2)) and |G1 - s| / |G1| = (E - m c^2) / (2 m c^2),
+    with E - m c^2 = |p|^2 / (E + m c^2) free of cancellation.  Both depend
+    on kx^2 and ky^2 alone and |S|^2 separates, so the axis weights are
+    folded onto j <= n/2 and the sums run over the quadrant of _mode_terms.
+    """
+    n = grid.n
+    q, energy = _mode_terms(grid, params)
+    half = q[: n // 2 + 1] ** 2
+    p2 = np.add.outer(half, half)
+    fold = np.minimum(np.arange(n), n - np.arange(n))
+    wx, wy = (np.bincount(fold, np.abs(f) ** 2) for f in spectra)
+    weight = np.multiply.outer(wx / np.sum(wx), wy / np.sum(wy))
+    excess = p2 / (energy + params.rest_energy)  # E - m c^2
+    lower = weight * excess  # proportional to |G1 S / divisor|^2
+    lower_sum = np.sum(lower)
+    if lower_sum == 0.0:
+        return None
+    # In units of the largest excess: the sums stay finite wherever |p|^2 is.
+    top = excess.max()
+    closure = (top * np.sqrt(np.sum(lower * (excess / top) ** 2) / lower_sum)
+               / (2.0 * params.rest_energy))
+    mean_vc2 = np.sum(weight * p2) / params.rest_energy**2
+    return float(closure / mean_vc2)
 
 
 def build_gaussian(grid: Grid2D, center, k0: Momentum, sigma: float,
@@ -192,7 +219,7 @@ def build_gaussian(grid: Grid2D, center, k0: Momentum, sigma: float,
     if components != 2:
         raise ValueError("components must be 1 or 2")
     g1, divisor = _spinor_weights(grid, params)
-    spectrum = _outer_spectrum(factors) / divisor
+    spectrum = np.multiply.outer(*(np.fft.fft(f, norm="ortho") for f in factors)) / divisor
     data = np.fft.ifft2(np.stack([spectrum, g1 * spectrum]), norm="ortho")
     return WaveField(grid, data).normalized()
 
@@ -270,118 +297,60 @@ def remove_rest_phase(f: WaveField, t: float, params: PhysicalParams = NATURAL_U
     return replace(f, data=f.data * _rest_phase(params, t), gauge_frame=True)
 
 
-def small_component(f: WaveField, params: PhysicalParams = NATURAL_UNITS) -> WaveField:
-    """Closure estimate of the lower component from the upper one.
+def _kinetic_phase(grid: Grid2D, params: PhysicalParams, dt: float) -> np.ndarray:
+    """exp(-i hbar |k|^2 dt / 2m) per mode.
 
-    In the co-rotating frame the lower component is slaved to the upper:
-    psi_low ~= -(hbar / 2mc) (d_x + i d_y) psi_up, accurate to O((v/c)^2);
-    per mode that is -i p / (2 m c^2) times the upper amplitude.
-    """
-    if f.components != 2:
-        raise ValueError("small_component expects a 2-component field")
-    if not f.gauge_frame:
-        raise GaugeFrameError("small_component expects a gauge-frame field")
-    q, _ = _mode_terms(f.grid, params)
-    spectrum = (np.fft.fft2(f.data[0], norm="ortho")
-                * (-1j * _momentum(q) / (2.0 * params.rest_energy)))
-    return WaveField(f.grid, np.fft.ifft2(spectrum, norm="ortho"),
-                     gauge_frame=True, time=f.time)
-
-
-@dataclass(frozen=True)
-class PotentialConfig:
-    """Electromagnetic potentials sampled on the grid.
-
-    a0 is the scalar potential (enters the Hamiltonian as e*c*a0), ax/ay the
-    vector potential (enters as (-i hbar grad + e A)^2 / 2m).  Split-step
-    evolution supports arbitrary a0 but only uniform ax/ay; spatially varying
-    vector potentials are the business of the stationary Landau solver.
-    """
-
-    a0: object = 0.0
-    ax: object = 0.0
-    ay: object = 0.0
-
-    def __post_init__(self):
-        for name in ("a0", "ax", "ay"):
-            value = getattr(self, name)
-            if np.iscomplexobj(value):
-                raise ValueError(f"{name} must be real-valued")
-            arr = np.asarray(value, dtype=float)
-            if arr.ndim == 2:
-                rng = arr.max() - arr.min()
-                step = max(
-                    np.abs(np.diff(arr, axis=0)).max(initial=0.0),
-                    np.abs(np.diff(arr, axis=1)).max(initial=0.0),
-                )
-                if rng > 0 and step > 0.5 * rng:
-                    warnings.warn(
-                        f"potential {name} changes by {step:.3g} between neighboring "
-                        f"samples (range {rng:.3g}); evolution may be under-resolved",
-                        stacklevel=2,
-                    )
-
-    def uniform_vector(self) -> tuple[float, float] | None:
-        """(Ax, Ay) if the vector potential is uniform, else None."""
-        values = []
-        for value in (self.ax, self.ay):
-            arr = np.asarray(value, dtype=float)
-            if arr.ndim == 0:
-                values.append(float(arr))
-            elif np.ptp(arr) == 0.0:
-                values.append(float(arr.flat[0]))
-            else:
-                return None
-        return values[0], values[1]
-
-
-def _kinetic_phase(grid: Grid2D, params: PhysicalParams, dt: float, vector) -> np.ndarray:
-    """exp(-i hbar |k + e A/hbar|^2 dt / 2m) per mode, for the uniform vector
-    potential A = vector = (Ax, Ay).
-
-    The phase of |k + s|^2 = (kx + sx)^2 + (ky + sy)^2 factors, so this is
-    the outer product of one phase per axis: 2n exponentials, not n^2.
+    The phase of |k|^2 = kx^2 + ky^2 factors, so this is the outer product
+    of one phase per axis: n exponentials, not n^2.
     """
     k = grid.wavenumber_axis()
-    x_phase, y_phase = (
-        np.exp(-1j * (params.hbar * (k + params.e * a / params.hbar) ** 2
-                      / (2.0 * params.m)) * dt)
-        for a in vector)
-    return np.multiply.outer(x_phase, y_phase)
+    phase = np.exp(-1j * (params.hbar * k**2 / (2.0 * params.m)) * dt)
+    return np.multiply.outer(phase, phase)
 
 
 def evolve_schrodinger(f: WaveField, t: float, params: PhysicalParams = NATURAL_UNITS,
-                       pot: PotentialConfig = None, steps: int = None) -> WaveField:
+                       a0=None, steps: int = None) -> WaveField:
     """Advance a scalar field under the planar Schrodinger equation.
 
     Strang splitting alternating the exact kinetic phase
-    exp(-i hbar k^2 dt / 2m) (momenta shifted by e*A/hbar for uniform A) with
-    the real-space scalar phase exp(-i e c a0 dt / hbar); second order in the
-    step size.  Without a potential this is one step, exact at every mode.
+    exp(-i hbar k^2 dt / 2m) with the real-space phase exp(-i e c a0 dt / hbar)
+    of the scalar potential a0, a real number or (n, n) array of samples;
+    second order in the step size, 200 steps unless steps is given.  Without
+    a potential this is one step, exact at every mode.  Spatially varying
+    vector potentials are the business of the stationary Landau solver.
     """
     if f.components != 1:
         raise ValueError("evolve_schrodinger expects a scalar field")
+    if a0 is None:
+        a0, steps = 0.0, 1
+    if np.iscomplexobj(a0):
+        raise ValueError("a0 must be real-valued")
+    a0 = np.asarray(a0, dtype=float)
+    if a0.ndim == 2:
+        rng = a0.max() - a0.min()
+        step = max(
+            np.abs(np.diff(a0, axis=0)).max(initial=0.0),
+            np.abs(np.diff(a0, axis=1)).max(initial=0.0),
+        )
+        if rng > 0 and step > 0.5 * rng:
+            warnings.warn(
+                f"potential a0 changes by {step:.3g} between neighboring "
+                f"samples (range {rng:.3g}); evolution may be under-resolved",
+                stacklevel=2,
+            )
     if t == 0.0:
         return replace(f, data=f.data.copy())
-    if pot is None:
-        pot, steps = PotentialConfig(), 1
-    uniform = pot.uniform_vector()
-    if uniform is None:
-        raise ValueError(
-            "split-step evolution supports only a uniform vector potential; "
-            "use landau_levels for spatially varying A"
-        )
     if steps is None:
         steps = 200
     if steps < 1:
         raise ValueError("steps must be >= 1")
     dt = t / steps
-    scalar = params.e * params.c * np.asarray(pot.a0, dtype=float) / params.hbar
+    scalar = params.e * params.c * a0 / params.hbar
     if np.abs(scalar).max() * abs(dt) > np.pi:
         raise GridResolutionError(
             "potential phase per step exceeds pi; increase steps"
         )
-    kin_phase = _kinetic_phase(f.grid, params, dt, uniform)
+    kin_phase = _kinetic_phase(f.grid, params, dt)
     half_pot = np.exp(-0.5j * scalar * dt)
     data = f.data * half_pot
     for step in range(steps):
@@ -390,13 +359,6 @@ def evolve_schrodinger(f: WaveField, t: float, params: PhysicalParams = NATURAL_
             data = data * (half_pot * half_pot)
     data = data * half_pot
     return replace(f, data=data, time=f.time + t)
-
-
-def mean_momentum(f: WaveField) -> tuple[float, float]:
-    kx, ky = f.grid.wavenumbers()
-    spectrum = np.abs(np.fft.fft2(f.component(0), norm="ortho")) ** 2
-    weight = spectrum.sum()
-    return (float((kx * spectrum).sum() / weight), float((ky * spectrum).sum() / weight))
 
 
 def _relative_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -443,19 +405,24 @@ def _limit_spectra(k0: Momentum, n: int, t_final: float, params: PhysicalParams,
     Builds U(dt) and the kinetic phase for dt = t_final/steps once, applies
     them steps times to the spectrum of the normalized packet (the first step
     from (psi, 0) in closed form), and removes the rest-mass phase.  Returns
-    (out, grid, dirac, schrodinger): out holds "distance", "vc_scale" and
-    "inputs" (_limit_inputs); schrodinger (n, n) and dirac are the spectra at
-    t_final, Dirac in the gauge frame.  dirac is the (2, n, n) spinor, or with
-    upper_only (one step) its upper component diag * psi alone.
+    (out, grid, dirac, schrodinger): out holds "distance", "vc_scale",
+    "inputs" (_limit_inputs) and, unless upper_only, "closure"
+    (_closure_ratio of the packet); schrodinger (n, n) and dirac are the
+    spectra at t_final, Dirac in the gauge frame.  dirac is the (2, n, n)
+    spinor, or with upper_only (one step) its upper component diag * psi
+    alone.
     """
     inputs = _limit_inputs(k0, n, t_final, params, sigma, box, steps)
     steps = inputs["steps"]
     if upper_only and steps != 1:
         raise ValueError("an upper-only run takes exactly one step")
     grid = Grid2D(n, inputs["box"])
-    factors = _gaussian_factors(grid, (0.0, 0.0), k0, inputs["sigma"])
+    spectra = [np.fft.fft(f, norm="ortho")
+               for f in _gaussian_factors(grid, (0.0, 0.0), k0, inputs["sigma"])]
+    # Before any n^2 array exists, so the quadrant sums add nothing to the peak.
+    closure = None if upper_only else _closure_ratio(grid, params, spectra)
     # The unitary DFT keeps the norm, so this normalizes the packet.
-    schrod = _outer_spectrum(factors)
+    schrod = np.multiply.outer(*spectra)
     schrod /= WaveField(grid, schrod).norm
 
     dt = t_final / steps
@@ -466,7 +433,7 @@ def _limit_spectra(k0: Momentum, n: int, t_final: float, params: PhysicalParams,
         dirac = np.stack([diag * schrod, -(off * schrod)])
         _dirac_step(dirac, diag, off, steps - 1)
     del diag, off  # freed before the kinetic phase is built: a lower peak
-    kin_phase = _kinetic_phase(grid, params, dt, (0.0, 0.0))
+    kin_phase = _kinetic_phase(grid, params, dt)
     for _ in range(steps):
         schrod *= kin_phase
     dirac *= _rest_phase(params, t_final)
@@ -475,6 +442,8 @@ def _limit_spectra(k0: Momentum, n: int, t_final: float, params: PhysicalParams,
         "vc_scale": params.hbar * k0.magnitude / (params.m * params.c),
         "inputs": inputs,
     }
+    if not upper_only:
+        out["closure"] = closure
     return out, grid, dirac, schrod
 
 

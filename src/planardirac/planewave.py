@@ -255,18 +255,13 @@ def coefficient_matrix(
     return params.c * dirac_operator_symbol(branch, k, omega, params)
 
 
-def classical_energy(
-    sol: PlaneWaveSolution, box_side: float, params: PhysicalParams
-) -> float:
+def classical_energy(sol: PlaneWaveSolution, params: PhysicalParams) -> float:
     """Classical field energy of the plane wave on a periodic box.
 
     With the amplitude convention of one particle per box area the result is
-    hbar*w times the metric norm of the spinor: +hbar*w for the positive
-    branch and -hbar*w for the negative one, whose phase exp(+i w t)
-    oscillates at frequency -w.  The unbounded-below negative value is the
-    pathology that second quantization repairs.  box_side only fixes the
-    amplitude convention; the value returned is independent of it.
+    hbar*w times the metric norm of the spinor, whatever the box side: +hbar*w
+    for the positive branch and -hbar*w for the negative one, whose phase
+    exp(+i w t) oscillates at frequency -w.  The unbounded-below negative
+    value is the pathology that second quantization repairs.
     """
-    if box_side <= 0:
-        raise ValueError("box_side must be positive")
     return params.hbar * sol.omega * metric_inner(sol.spinor, sol.spinor).real

@@ -433,6 +433,18 @@ class TestEvolveCommand:
         assert all(c["expected"].startswith(f"distances vanish at t={t_final};")
                    for c in failed)
 
+    def test_packet_without_lower_component_fails_with_reason(self, capsys):
+        """A packet constant over the box holds only k = 0, where G1 = 0, so
+        there is no lower component to close: the check fails with a reason
+        rather than a 0/0."""
+        code, out, _ = run_main(["--json", "evolve", "--grid", "8", "--k0x", "0",
+                                 "--sigma", "1e9", "--box", "10"], capsys)
+        assert code == 1
+        closure = {c["name"]: c for c in json.loads(out)["checks"]}[
+            "small-component closure / <(hbar k/mc)^2>"]
+        assert not closure["passed"]
+        assert closure["expected"] == "the packet has no lower component to close"
+
     @pytest.mark.parametrize("flags,runs", [
         ([], 3), (["--steps", "1"], 3),
         (["--k0x=-0.05"], 4), (["--k0y", "0.01"], 4), (["--sigma", "90"], 4),

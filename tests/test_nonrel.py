@@ -70,8 +70,9 @@ class TestGaussianPacket:
     def test_zero_momentum_packet_is_symmetric(self):
         grid = nr.Grid2D(64, 40.0)
         f = nr.build_gaussian(grid, (0, 0), Momentum(0, 0), 3.0)
-        kx, ky = nr.mean_momentum(f)
-        assert abs(kx) < 1e-10 and abs(ky) < 1e-10
+        weight = np.abs(np.fft.fft2(f.data, norm="ortho")) ** 2
+        for k in grid.wavenumbers():
+            assert abs(np.sum(k * weight) / np.sum(weight)) < 1e-10
 
     def test_spinor_packet_is_pure_positive_branch(self):
         grid = nr.Grid2D(64, 160.0)
@@ -242,48 +243,97 @@ class TestRestPhase:
         assert np.abs(evolved.data - f.data).max() < 1e-13
 
 
-class TestSmallComponent:
-    def test_requires_gauge_frame(self):
-        f = single_mode_field(0.1)
-        with pytest.raises(nr.GaugeFrameError):
-            nr.small_component(f, NATURAL)
+def full_mesh_closure(grid, k0, sigma, params):
+    """(closure error, mean (hbar |k| / m c)^2) of the positive-branch packet,
+    on the full mesh: the closure estimate s = -i p / (2 m c^2) of the lower
+    component against the lower component itself, and the mean over the
+    scalar packet's |spectrum|^2."""
+    kx, ky = grid.wavenumbers()
+    p = params.c * params.hbar * (kx + 1j * ky)
+    spinor = nr.build_gaussian(grid, (0, 0), k0, sigma, components=2, params=params)
+    up, low = np.fft.fft2(spinor.data, norm="ortho")
+    estimate = -1j * p / (2.0 * params.rest_energy) * up
+    closure = np.sqrt(np.sum(np.abs(estimate - low) ** 2) / np.sum(np.abs(low) ** 2))
+    scalar = nr.build_gaussian(grid, (0, 0), k0, sigma)
+    weight = np.abs(np.fft.fft2(scalar.data, norm="ortho")) ** 2
+    mean_vc2 = np.sum(weight * np.abs(p) ** 2) / np.sum(weight) / params.rest_energy**2
+    return closure, mean_vc2
 
-    def test_symmetric_packet_has_small_lower_norm(self):
-        grid = nr.Grid2D(64, 160.0)
-        f = nr.build_gaussian(grid, (0, 0), Momentum(0, 0), 10.0,
-                              components=2, params=NATURAL)
-        f = nr.remove_rest_phase(f, 0.0, NATURAL)
-        estimate = nr.small_component(f, NATURAL)
-        upper_norm = np.sqrt(np.sum(np.abs(f.data[0]) ** 2))
-        assert np.sqrt(np.sum(np.abs(estimate.data) ** 2)) < 0.05 * upper_norm
+
+class TestSmallComponent:
+    @pytest.mark.parametrize("n,k0,sigma,box,params", [
+        (128, (0.025, 0.0), None, None, NATURAL),
+        (128, (0.05, 0.0), None, None, NATURAL),
+        (256, (0.1, 0.0), None, None, NATURAL),
+        (128, (0.2, 0.0), None, None, NATURAL),
+        (128, (0.03, 0.04), None, None, NATURAL),
+        (128, (0.0, 0.0), 5.0, 120.0, NATURAL),
+        (128, (0.05, 0.0), 4.0 * 1920.0 / 128, 1920.0, NATURAL),
+        (256, (0.2, 0.0), 4.0 * 480.0 / 256, 480.0, NATURAL),
+        # hbar k0 / m c = 0.2
+        (256, (0.2 * 2.0 * 3.0 / 0.7, 0.0), None, None, PhysicalParams(m=2.0, c=3.0, hbar=0.7)),
+    ])
+    def test_quadrant_closure_matches_full_mesh(self, n, k0, sigma, box, params):
+        """The reported closure, folded onto the (n/2 + 1)^2 quadrant, is the
+        full-mesh closure error over the mean (hbar |k| / m c)^2."""
+        run = nr.run_limit_comparison(*k0, n=n, t_final=0.0, params=params,
+                                      sigma=sigma, box=box)
+        grid = nr.Grid2D(n, run["inputs"]["box"])
+        closure, mean_vc2 = full_mesh_closure(grid, Momentum(*k0), run["inputs"]["sigma"],
+                                              params)
+        assert run["closure"] == pytest.approx(closure / mean_vc2, rel=1e-11, abs=0.0)
 
     @pytest.mark.parametrize("kx", [0.1, 0.05])
     def test_single_mode_ratio(self, kx):
         """Component ratio approaches hbar k / (2 m c), and the closure
         estimate deviates from the true lower component by O((v/c)^2); the
-        exact amplitude is G1 = -i(sqrt(1+kappa^2)-1)/kappa."""
+        exact amplitude is G1 = -i(sqrt(1+kappa^2)-1)/kappa and the exact
+        closure error (sqrt(1+kappa^2)-1)/2."""
         f = single_mode_field(kx, gauge_frame=True)
-        estimate = nr.small_component(f, NATURAL)
         lower = f.data[1]
         upper_norm = np.sqrt(np.sum(np.abs(f.data[0]) ** 2))
         ratio = np.sqrt(np.sum(np.abs(lower) ** 2)) / upper_norm
         exact = (np.sqrt(1.0 + kx**2) - 1.0) / kx
         assert ratio == pytest.approx(exact, rel=1e-12)
         assert abs(ratio / (kx / 2.0) - 1.0) < kx**2
-        closure_error = np.sqrt(np.sum(np.abs(estimate.data - lower) ** 2)
-                                / np.sum(np.abs(lower) ** 2))
-        assert closure_error < kx**2
+        for n in (16, 8):  # kx on mode 4; at n = 8 that is the Nyquist mode n/2
+            grid = single_mode_field(kx, n).grid
+            x, _ = grid.axes()
+            spectra = [np.fft.fft(np.exp(1j * kx * x), norm="ortho"),
+                       np.fft.fft(np.ones(n), norm="ortho")]
+            closure_error = nr._closure_ratio(grid, NATURAL, spectra) * kx**2
+            assert closure_error == pytest.approx((np.sqrt(1.0 + kx**2) - 1.0) / 2.0,
+                                                  rel=1e-12)
+            assert closure_error < kx**2
 
     def test_closure_error_scales_quadratically(self):
         """Halving the wavenumber quarters the closure deviation."""
-        def deviation(kx):
-            f = single_mode_field(kx, gauge_frame=True)
-            estimate = nr.small_component(f, NATURAL)
-            return float(np.sqrt(np.sum(np.abs(estimate.data - f.data[1]) ** 2)
-                                 / np.sum(np.abs(f.data[1]) ** 2)))
+        def deviation(k0):
+            run = nr.run_limit_comparison(k0, n=128, t_final=0.0)
+            grid = nr.Grid2D(128, run["inputs"]["box"])
+            return run["closure"] * full_mesh_closure(grid, Momentum(k0, 0.0),
+                                                      run["inputs"]["sigma"], NATURAL)[1]
 
         ratio = deviation(0.1) / deviation(0.05)
         assert 3.5 < ratio < 4.5
+
+    def test_symmetric_packet_has_small_lower_norm(self):
+        """At k0 = 0 the positive-branch packet's lower component is small,
+        and its closure sits near the Gaussian limit sqrt(6)/4."""
+        grid = nr.Grid2D(64, 160.0)
+        f = nr.build_gaussian(grid, (0, 0), Momentum(0, 0), 10.0,
+                              components=2, params=NATURAL)
+        upper_norm = np.sqrt(np.sum(np.abs(f.data[0]) ** 2))
+        assert np.sqrt(np.sum(np.abs(f.data[1]) ** 2)) < 0.05 * upper_norm
+        run = nr.run_limit_comparison(0.0, n=64, t_final=0.0, sigma=10.0, box=160.0)
+        assert run["closure"] == pytest.approx(np.sqrt(6.0) / 4.0, rel=0.01)
+
+    def test_ultrarelativistic_grid_stays_finite(self):
+        """The sums stay finite on a grid whose modes reach hbar |k| / m c of
+        1e152, where |p|^3 alone would overflow."""
+        with np.errstate(over="raise", invalid="raise"):
+            run = nr.run_limit_comparison(0.0, n=128, t_final=0.0, sigma=4e-152, box=1e-150)
+        assert 0.0 < run["closure"] < 1.0
 
 
 class TestSchrodingerEvolution:
@@ -309,9 +359,9 @@ class TestSchrodingerEvolution:
     def test_norm_conserved_with_potential(self):
         grid = nr.Grid2D(32, 16.0)
         x, y = grid.meshes()
-        pot = nr.PotentialConfig(a0=0.4 * np.cos(2 * np.pi * x / grid.length))
+        a0 = 0.4 * np.cos(2 * np.pi * x / grid.length)
         f = nr.build_gaussian(grid, (0, 0), Momentum(0.4, 0), 2.0)
-        out = nr.evolve_schrodinger(f, 3.0, NATURAL, pot, steps=60)
+        out = nr.evolve_schrodinger(f, 3.0, NATURAL, a0, steps=60)
         assert abs(out.norm - 1.0) < 1e-10
 
     def test_constant_scalar_potential_is_global_phase(self):
@@ -320,8 +370,7 @@ class TestSchrodingerEvolution:
         f = nr.build_gaussian(grid, (0, 0), Momentum(0.4, 0.1), 2.0)
         t, a0 = 2.0, 0.7
         free = nr.evolve_schrodinger(f, t, NATURAL)
-        coupled = nr.evolve_schrodinger(f, t, NATURAL,
-                                        nr.PotentialConfig(a0=a0), steps=40)
+        coupled = nr.evolve_schrodinger(f, t, NATURAL, a0, steps=40)
         assert np.abs(coupled.data * np.exp(1j * a0 * t) - free.data).max() < 1e-12
         assert abs(abs(nr.overlap(free, coupled)) - 1.0) < 1e-10
 
@@ -330,56 +379,36 @@ class TestSchrodingerEvolution:
         x, _ = grid.meshes()
         base = 0.3 * np.cos(2 * np.pi * x / grid.length)
         f = nr.build_gaussian(grid, (0, 0), Momentum(0.3, 0), 2.0)
-        a = nr.evolve_schrodinger(f, 2.0, NATURAL, nr.PotentialConfig(a0=base), steps=50)
-        b = nr.evolve_schrodinger(f, 2.0, NATURAL,
-                                  nr.PotentialConfig(a0=base + 1.3), steps=50)
+        a = nr.evolve_schrodinger(f, 2.0, NATURAL, base, steps=50)
+        b = nr.evolve_schrodinger(f, 2.0, NATURAL, base + 1.3, steps=50)
         assert abs(abs(nr.overlap(a, b)) - 1.0) < 1e-10
 
     def test_strang_splitting_is_second_order(self):
         """Halving the step cuts the error by ~4 against an 8x-finer reference."""
         grid = nr.Grid2D(64, 40.0)
         x, y = grid.meshes()
-        pot = nr.PotentialConfig(
-            a0=0.3 * np.cos(2 * np.pi * x / grid.length)
-            * np.cos(2 * np.pi * y / grid.length))
+        a0 = 0.3 * np.cos(2 * np.pi * x / grid.length) * np.cos(2 * np.pi * y / grid.length)
         f = nr.build_gaussian(grid, (0, 0), Momentum(0.3, 0.2), 3.0)
-        reference = nr.evolve_schrodinger(f, 2.0, NATURAL, pot, steps=512)
-        coarse = nr.evolve_schrodinger(f, 2.0, NATURAL, pot, steps=64)
-        fine = nr.evolve_schrodinger(f, 2.0, NATURAL, pot, steps=128)
+        reference = nr.evolve_schrodinger(f, 2.0, NATURAL, a0, steps=512)
+        coarse = nr.evolve_schrodinger(f, 2.0, NATURAL, a0, steps=64)
+        fine = nr.evolve_schrodinger(f, 2.0, NATURAL, a0, steps=128)
         err_coarse = np.sqrt(np.sum(np.abs(coarse.data - reference.data) ** 2))
         err_fine = np.sqrt(np.sum(np.abs(fine.data - reference.data) ** 2))
         assert 3.5 < err_coarse / err_fine < 4.5
 
-    def test_uniform_vector_potential_supported(self):
-        grid = nr.Grid2D(32, 16.0)
-        f = nr.build_gaussian(grid, (0, 0), Momentum(0.2, 0), 2.0)
-        out = nr.evolve_schrodinger(f, 1.0, NATURAL,
-                                    nr.PotentialConfig(ax=0.2, ay=-0.1), steps=20)
-        assert abs(out.norm - 1.0) < 1e-12
-
-    def test_nonuniform_vector_potential_rejected(self):
-        grid = nr.Grid2D(32, 16.0)
-        x, y = grid.meshes()
-        pot = nr.PotentialConfig(ax=-0.25 * y, ay=0.25 * x)  # symmetric gauge, B = 0.5
-        f = nr.build_gaussian(grid, (0, 0), Momentum(0, 0), 2.0)
-        with pytest.raises(ValueError, match="uniform"):
-            nr.evolve_schrodinger(f, 1.0, NATURAL, pot, steps=10)
-
-    @pytest.mark.parametrize("params,n,length,dt,vector", [
-        (NATURAL, 64, 30.0, 0.7, (0.0, 0.0)),
-        (NATURAL, 128, 1920.0, 10.0, (0.0, 0.0)),
-        (NATURAL, 64, 30.0, 0.7, (0.3, -1.2)),
-        (PhysicalParams(m=2.0, c=3.0, hbar=0.5, e=-1.5), 128, 5.0, 37.0, (0.0, 2.5)),
+    @pytest.mark.parametrize("params,n,length,dt", [
+        (NATURAL, 64, 30.0, 0.7),
+        (NATURAL, 128, 1920.0, 10.0),
+        (PhysicalParams(m=2.0, c=3.0, hbar=0.5, e=-1.5), 128, 5.0, 37.0),
     ])
-    def test_kinetic_phase_factors_by_axis(self, params, n, length, dt, vector):
+    def test_kinetic_phase_factors_by_axis(self, params, n, length, dt):
         """The per-axis outer product equals exp(-i phi) with phi on the n^2
         mesh.  Each phase carries a few roundings of relative size eps, so the
         two differ by at most 4 eps (1 + max |phi|) per mode."""
         grid = nr.Grid2D(n, length)
         kx, ky = grid.wavenumbers()
-        sx, sy = (params.e * a / params.hbar for a in vector)
-        phi = params.hbar * ((kx + sx) ** 2 + (ky + sy) ** 2) / (2.0 * params.m) * dt
-        separable = nr._kinetic_phase(grid, params, dt, vector)
+        phi = params.hbar * (kx**2 + ky**2) / (2.0 * params.m) * dt
+        separable = nr._kinetic_phase(grid, params, dt)
         bound = 4.0 * np.finfo(float).eps * (1.0 + np.abs(phi).max())
         assert np.abs(separable - np.exp(-1j * phi)).max() <= bound
 
@@ -387,19 +416,20 @@ class TestSchrodingerEvolution:
         grid = nr.Grid2D(32, 16.0)
         f = nr.build_gaussian(grid, (0, 0), Momentum(0, 0), 2.0)
         with pytest.raises(nr.GridResolutionError, match="steps"):
-            nr.evolve_schrodinger(f, 100.0, NATURAL,
-                                  nr.PotentialConfig(a0=1.0), steps=2)
+            nr.evolve_schrodinger(f, 100.0, NATURAL, 1.0, steps=2)
 
     def test_rough_potential_warns(self):
         grid = nr.Grid2D(32, 20.0)
         rough = np.zeros((32, 32))
         rough[10, 10] = 5.0
+        f = nr.build_gaussian(grid, (0, 0), Momentum(0, 0), 3.0)
         with pytest.warns(UserWarning, match="under-resolved"):
-            nr.PotentialConfig(a0=rough)
+            nr.evolve_schrodinger(f, 1.0, NATURAL, rough, steps=20)
 
     def test_complex_potential_rejected(self):
+        f = nr.WaveField(nr.Grid2D(8, 5.0), np.ones((8, 8)))
         with pytest.raises(ValueError, match="real-valued"):
-            nr.PotentialConfig(a0=np.full((8, 8), 1j))
+            nr.evolve_schrodinger(f, 1.0, NATURAL, np.full((8, 8), 1j))
 
 
 class TestCompareLimit:
@@ -477,7 +507,7 @@ class TestCompareLimit:
         full = nr._limit_spectra(Momentum(k0, 0.0), n, t, NATURAL)
         upper = nr._limit_spectra(Momentum(k0, 0.0), n, t, NATURAL, upper_only=True)
         assert full[2].shape == (2, n, n) and upper[2].shape == (n, n)
-        assert upper[0] == full[0]
+        assert upper[0] == {key: v for key, v in full[0].items() if key != "closure"}
 
     def test_upper_only_takes_one_step(self):
         with pytest.raises(ValueError, match="one step"):

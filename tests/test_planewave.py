@@ -205,27 +205,22 @@ class TestClassicalEnergy:
     def test_rest_frame_branch_energies(self):
         plus = pw.plane_wave(Branch.POSITIVE, Momentum(0, 0), NATURAL)
         minus = pw.plane_wave(Branch.NEGATIVE, Momentum(0, 0), NATURAL)
-        assert pw.classical_energy(plus, 1.0, NATURAL) == pytest.approx(1.0, abs=1e-14)
-        assert pw.classical_energy(minus, 1.0, NATURAL) == pytest.approx(-1.0, abs=1e-14)
+        assert pw.classical_energy(plus, NATURAL) == pytest.approx(1.0, abs=1e-14)
+        assert pw.classical_energy(minus, NATURAL) == pytest.approx(-1.0, abs=1e-14)
 
     def test_branches_cancel_at_matched_momentum(self):
         k = Momentum(2.0, -1.0)
         plus = pw.plane_wave(Branch.POSITIVE, k, NATURAL)
         minus = pw.plane_wave(Branch.NEGATIVE, k, NATURAL)
-        total = (pw.classical_energy(plus, 5.0, NATURAL)
-                 + pw.classical_energy(minus, 5.0, NATURAL))
+        total = (pw.classical_energy(plus, NATURAL)
+                 + pw.classical_energy(minus, NATURAL))
         assert abs(total) < 1e-12
 
     def test_magnitude_is_hbar_omega(self):
         k = Momentum(1.5, 0.5)
         sol = pw.plane_wave(Branch.NEGATIVE, k, NATURAL)
-        assert pw.classical_energy(sol, 2.0, NATURAL) == pytest.approx(
+        assert pw.classical_energy(sol, NATURAL) == pytest.approx(
             -sol.omega, rel=1e-12)
-
-    def test_rejects_bad_box(self):
-        sol = pw.plane_wave(Branch.POSITIVE, Momentum(0, 0), NATURAL)
-        with pytest.raises(ValueError):
-            pw.classical_energy(sol, 0.0, NATURAL)
 
 
 class TestSolutionObject:
