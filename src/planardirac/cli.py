@@ -311,11 +311,14 @@ def run_evolve(report: RunReport, args: argparse.Namespace) -> None:
 
 
 def _add_solve_checks(report: RunReport, suffix: str, result: dict) -> bool:
-    """The C4 commutator, inertia and level checks of one Landau solve; False
-    when no sector was solved.  landau_levels solves the sectors only when R
-    commutes with H exactly, so the commutator's bound is 0."""
+    """The C4 commutator, K*D symmetry, inertia and level checks of one
+    Landau solve; False when no sector was solved.  landau_levels solves the
+    real sector blocks only when R and T = K*D commute with H exactly, so
+    both bounds are 0."""
     report.add(bound_check("rotation R commutes with H (C4 sectors)" + suffix,
                            result["commutator"], 0.0))
+    report.add(bound_check("K·D symmetry of the C4 blocks" + suffix,
+                           result["reflection"], 0.0))
     if result["levels"] is None:
         return False
     inertia = "eigenvalues below the shift (Sylvester inertia)" + suffix

@@ -14,6 +14,7 @@ comparisons between Dirac and Schrodinger dynamics happen there.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -552,6 +553,11 @@ def _rotation_orbits(n: int) -> np.ndarray:
     return np.array([np.rot90(cells, -r)[:n // 2, :n // 2].ravel() for r in range(4)])
 
 
+def _relative_difference(a: sparse.csr_matrix, b: sparse.csr_matrix) -> float:
+    """max|a - b| / max|b| of two sparse matrices of one shape."""
+    return float(np.abs((a - b).data).max(initial=0.0) / np.abs(b.data).max())
+
+
 def _rotation_commutator(ham: sparse.csr_matrix, orbits: np.ndarray) -> float:
     """max|R H - H R| / max|H| for the permutation R e_c = e_{Rc}.
 
@@ -560,8 +566,15 @@ def _rotation_commutator(ham: sparse.csr_matrix, orbits: np.ndarray) -> float:
     """
     rotate = np.empty(ham.shape[0], dtype=int)
     rotate[orbits] = np.roll(orbits, -1, axis=0)
-    diff = ham[rotate][:, rotate] - ham
-    return float(np.abs(diff.data).max(initial=0.0) / np.abs(ham.data).max())
+    return _relative_difference(ham[rotate][:, rotate], ham)
+
+
+def _reflection_defect(ham: sparse.csr_matrix, n: int) -> float:
+    """max|T H - H T| / max|H| for the antiunitary T = K D, complex
+    conjugation times the reflection D e_(i,j) = e_(j,i): it compares conj H
+    with H re-indexed by D, as (T^-1 H T)[c, c'] = conj H[Dc, Dc']."""
+    mirror = np.arange(n * n).reshape(n, n).T.ravel()
+    return _relative_difference(ham[mirror][:, mirror], ham.conj())
 
 
 def _sector_blocks(ham: sparse.csr_matrix, orbits: np.ndarray) -> list:
@@ -576,9 +589,60 @@ def _sector_blocks(ham: sparse.csr_matrix, orbits: np.ndarray) -> list:
             for m in range(4)]
 
 
+def _real_blocks(blocks: list, half: int):
+    """Each block H_m as the real symmetric W^H H_m W, read off H_m by
+    re-indexing.  Returns (real blocks, |W|^2).
+
+    D maps quadrant cell q = (i, j), flat index i*half + j, to Dq = (j, i);
+    D R D = R^-1, so T = K D gives T V_m e_q = V_m e_Dq.  W's columns are
+    (e_q + e_Dq)/sqrt2, or e_q when q = Dq, for each q with i >= j, then
+    i(e_q - e_Dq)/sqrt2 for each q with i > j.  |W|^2 @ u^2 are the orbit
+    weights |c_q|^2 of c = W u for real u.
+
+    When T commutes with H, H_m[Dq, Dp] = conj H_m[q, p], so only the rows of
+    W's cells are read.  With p' the one of p, Dp that has i >= j and s = +1
+    when p = p', else -1, each v = H_m[q, p] adds Re v (symmetric row q) or
+    Im v (antisymmetric q) at the symmetric column of p', and -s Im v or
+    s Re v at its antisymmetric column; scaled by 1/sqrt2 where q is on the
+    diagonal and by sqrt2 where p is, whose one entry stands for v + v.
+    """
+    i, j = np.divmod(np.arange(half * half), half)
+    mirror = j * half + i
+    cells = np.concatenate([np.flatnonzero(i >= j), np.flatnonzero(i > j)])
+    n_even = half * (half + 1) // 2
+    column = np.zeros((2, cells.size), dtype=int)
+    column[0, cells[:n_even]] = np.arange(n_even)
+    column[1, cells[n_even:]] = np.arange(n_even, cells.size)
+    row_scale = np.where(i[cells] == j[cells], np.sqrt(0.5), 1.0)
+    col_scale = np.where(i == j, np.sqrt(2.0), 1.0)
+    out = []
+    for block in blocks:
+        entries = block[cells].tocoo()
+        r, p, v = entries.row, entries.col, entries.data
+        odd = r >= n_even
+        lower = np.maximum(p, mirror[p])
+        sign = np.where(p == lower, 1.0, -1.0)
+        even = np.where(odd, v.imag, v.real) * row_scale[r] * col_scale[p]
+        off = i[p] != j[p]
+        anti = (sign * np.where(odd, v.real, -v.imag) * row_scale[r])[off]
+        real = sparse.csr_matrix(
+            (np.concatenate([even, anti]),
+             (np.concatenate([r, r[off]]),
+              np.concatenate([column[0, lower], column[1, lower[off]]]))),
+            shape=block.shape)
+        real.eliminate_zeros()
+        out.append(real)
+    # q == Dq on the diagonal: its two halves add up to 1.
+    weights = sparse.csr_matrix((np.full(2 * cells.size, 0.5),
+                                 (np.concatenate([cells, mirror[cells]]),
+                                  np.tile(np.arange(cells.size), 2))))
+    return out, weights
+
+
 def _lowest_eigenpairs(ham: sparse.csr_matrix, k: int):
-    """The k eigenpairs of Hermitian ham nearest 0: its k lowest when it is
-    positive definite, which the returned below_shift == 0 proves.
+    """The k eigenpairs of Hermitian or real symmetric ham nearest 0: its k
+    lowest when it is positive definite, which the returned below_shift == 0
+    proves.
 
     Shift-invert at sigma = 0: ham is factored once and ARPACK iterates with
     its inverse, so it converges fastest to the eigenvalues nearest 0.  Those
@@ -589,10 +653,10 @@ def _lowest_eigenpairs(ham: sparse.csr_matrix, k: int):
     Returns (values ascending, vectors, below_shift); below_shift is that
     count, or None when SuperLU pivoted off the diagonal and it is unknown.
 
-    ARPACK starts from a fixed-seed complex Gaussian, so repeated solves agree
-    bit for bit.  The Landau solve calls this once per C4 rotation sector
-    (_sector_lowest), each block holding one eigenvalue i^m of the rotation,
-    so no start vector has to reach across sectors.
+    ARPACK starts from one real fixed-seed Gaussian vector, so repeated
+    solves agree bit for bit.  The Landau solve calls this once per C4
+    rotation sector (_sector_lowest), each block holding one eigenvalue i^m
+    of the rotation, so no start vector has to reach across sectors.
     """
     lu = splu(ham.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
               options=dict(SymmetricMode=True))
@@ -600,8 +664,7 @@ def _lowest_eigenpairs(ham: sparse.csr_matrix, k: int):
     if np.array_equal(lu.perm_r, lu.perm_c):
         below_shift = int(np.count_nonzero(lu.U.diagonal().real <= 0.0))
     inverse = LinearOperator(ham.shape, matvec=lu.solve, dtype=ham.dtype)
-    rng = np.random.default_rng(0)
-    start = rng.standard_normal(ham.shape[0]) + 1j * rng.standard_normal(ham.shape[0])
+    start = np.random.default_rng(0).standard_normal(ham.shape[0])
     values, vectors = eigsh(ham, k=k, sigma=0.0, which="LM", OPinv=inverse, v0=start)
     order = np.argsort(values)
     return values[order], vectors[:, order], below_shift
@@ -609,8 +672,9 @@ def _lowest_eigenpairs(ham: sparse.csr_matrix, k: int):
 
 def _sector_lowest(ham: sparse.csr_matrix, orbits: np.ndarray, k: int,
                    k_sector: int):
-    """The k lowest eigenvalues of ham, which commutes with the rotation R,
-    solved as four blocks H_m = V_m^H ham V_m of dimension n*n/4.
+    """The k lowest eigenvalues of ham, which commutes with the rotation R
+    and with T = K D, solved as four real symmetric blocks W^H V_m^H ham V_m W
+    of dimension n*n/4 (_sector_blocks, _real_blocks).
 
     Each block gives its k_sector lowest pairs (_lowest_eigenpairs).  With
     tau the smallest of the four blocks' largest returned values, every
@@ -625,7 +689,8 @@ def _sector_lowest(ham: sparse.csr_matrix, orbits: np.ndarray, k: int,
     below_shift sums the four blocks' inertia counts, or is None when one
     is unknown.
     """
-    blocks = _sector_blocks(ham, orbits)
+    blocks, orbit_weights = _real_blocks(_sector_blocks(ham, orbits),
+                                         math.isqrt(orbits.shape[1]))
     cap = orbits.shape[1] - 2
     k_sector = min(k_sector, cap)
     while True:
@@ -637,7 +702,7 @@ def _sector_lowest(ham: sparse.csr_matrix, orbits: np.ndarray, k: int,
         if certified.size == k or k_sector == cap:
             break
         k_sector = min(2 * k_sector, cap)
-    weights = np.hstack([np.abs(vectors) ** 2 for _, vectors, _ in solves])
+    weights = np.hstack([orbit_weights @ vectors**2 for _, vectors, _ in solves])
     counts = [count for _, _, count in solves]
     below_shift = None if None in counts else sum(counts)
     return values[certified], weights[:, certified], below_shift
@@ -658,12 +723,16 @@ def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = NATURAL
 
     The symmetric-gauge square box is symmetric under the 90-degree rotation
     R, so H splits into four blocks, one per eigenvalue i^m of R, each of a
-    quarter of the dimension; _sector_lowest solves them and certifies that
-    their union holds the lowest eigenvalues of H.  "commutator" is
-    max|R H - H R| / max|H|.  The split is valid only when it is 0; otherwise
-    no block is solved and "levels", "relative_errors" and "below_shift" are
-    None.  All four orbit cells lie at one radius, so each state's mean
-    radius comes from its orbit weights without mapping it back to the grid.
+    quarter of the dimension.  H also commutes with T = K D, complex
+    conjugation times the reflection across the diagonal, which makes each
+    block real symmetric (_real_blocks).  _sector_lowest solves the real
+    blocks and certifies that their union holds the lowest eigenvalues of H.
+    "commutator" is max|R H - H R| / max|H| and "reflection" is
+    max|T H - H T| / max|H|.  The real blocks are valid only when both are 0;
+    otherwise no block is solved and "levels", "relative_errors" and
+    "below_shift" are None.  All four orbit cells, and q and Dq, lie at one
+    radius, so each state's mean radius comes from its orbit weights without
+    mapping it back to the grid.
 
     The operator is non-negative with its lowest level at hbar*w_c/2, so each
     block is shifted and inverted at 0, below the spectrum in any units.
@@ -701,8 +770,9 @@ def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = NATURAL
         "expected": expected,
         "magnetic_length": float(magnetic_length),
         "commutator": _rotation_commutator(ham, orbits),
+        "reflection": _reflection_defect(ham, n),
     }
-    if out["commutator"] != 0.0:
+    if out["commutator"] != 0.0 or out["reflection"] != 0.0:
         return out | {"levels": None, "relative_errors": None, "below_shift": None}
 
     values, weights, below_shift = _sector_lowest(ham, orbits, k, -(-k // 4) + 6)

@@ -332,9 +332,10 @@ class TestLandauReport:
         assert inertia[0]["passed"]
         others = [(c["name"], c["expected"], c["tolerance"])
                   for c in checks if c not in inertia]
-        assert others == [("rotation R commutes with H (C4 sectors)", "<= 0", 0.0)] + [
+        assert others == [("rotation R commutes with H (C4 sectors)", "<= 0", 0.0),
+                          ("K·D symmetry of the C4 blocks", "<= 0", 0.0)] + [
             (f"level {j} vs hbar*w_c*(n+1/2)", "<= 0.02", 0.02) for j in range(3)]
-        assert checks[0]["measured"] == 0.0
+        assert checks[0]["measured"] == checks[1]["measured"] == 0.0
 
     @pytest.mark.parametrize("box", ["0.1", "17.3"])
     def test_box_that_is_not_dyadic_solves_sectors(self, box, capsys):
@@ -348,8 +349,8 @@ class TestLandauReport:
 
     def test_gauge_without_c4_symmetry_fails_commutator(self, capsys, monkeypatch):
         """The Landau gauge A = (-B y, 0), reached from the symmetric gauge by
-        the gauge function chi = -B x y / 2, has the same spectrum but no C4
-        symmetry: the report fails on the commutator and shows no level."""
+        the gauge function chi = -B x y / 2, has the same spectrum but neither
+        C4 nor K*D symmetry: the report fails on both and shows no level."""
         nonrel = cli.nonrel
         symmetric = nonrel._landau_hamiltonian
 
@@ -364,8 +365,38 @@ class TestLandauReport:
         assert code == 1
         checks = json.loads(out)["checks"]
         assert [(c["name"], c["passed"]) for c in checks] == [
-            ("rotation R commutes with H (C4 sectors)", False)]
-        assert checks[0]["measured"] > 0.0
+            ("rotation R commutes with H (C4 sectors)", False),
+            ("K·D symmetry of the C4 blocks", False)]
+        assert checks[0]["measured"] > 0.0 and checks[1]["measured"] > 0.0
+
+    def test_potential_odd_under_reflection_fails_kd_check(self, capsys, monkeypatch):
+        """A real diagonal eps r^2 sin(4 theta) = 4 eps x y (x^2 - y^2) / r^2 is
+        C4-symmetric but odd under the diagonal reflection D: R still commutes
+        with H exactly, the K*D check fails, no block is solved, and the run
+        exits 1 on that named check without a traceback."""
+        nonrel = cli.nonrel
+        symmetric = nonrel._landau_hamiltonian
+
+        def odd_under_reflection(b_field, grid, params):
+            x, y = np.meshgrid(nonrel._cell_centers(grid), nonrel._cell_centers(grid),
+                               indexing="ij")
+            odd = 1e-6 * 4.0 * x * y * (x * x - y * y) / (x * x + y * y)
+            return (symmetric(b_field, grid, params) + sparse.diags(odd.ravel())).tocsr()
+
+        requested = []
+        eigsh = nonrel.eigsh
+        monkeypatch.setattr(nonrel, "eigsh",
+                            lambda *a, **kw: requested.append(kw["k"]) or eigsh(*a, **kw))
+        monkeypatch.setattr(nonrel, "_landau_hamiltonian", odd_under_reflection)
+        code, out, err = run_main(["--json", "landau", "--grid", "32"], capsys)
+        assert code == 1
+        assert "CHECK FAILURES" in err and "Traceback" not in err
+        checks = json.loads(out)["checks"]
+        assert [(c["name"], c["passed"]) for c in checks] == [
+            ("rotation R commutes with H (C4 sectors)", True),
+            ("K·D symmetry of the C4 blocks", False)]
+        assert checks[0]["measured"] == 0.0 and checks[1]["measured"] > 0.0
+        assert requested == []
 
     @pytest.mark.parametrize("levels,message,solved", [
         pytest.param("20", "found only 3 bulk level clusters among 389 eigenvalues at "
@@ -404,7 +435,7 @@ class TestLandauReport:
         code, out, _ = run_main(["--json", "landau", "--grid", "64"], capsys)
         assert code == 0
         names = [c["name"] for c in json.loads(out)["checks"]]
-        assert len(names) == 5 and not any("B doubled" in name for name in names)
+        assert len(names) == 6 and not any("B doubled" in name for name in names)
         with pytest.raises(cli.nonrel.GridResolutionError, match=r"\[5h = 1.562,"):
             cli.nonrel.landau_levels(0.5, cli.nonrel.Grid2D(64, 20.0))
         monkeypatch.setattr(cli.nonrel, "MAGNETIC_LENGTH_BOX_DIVISOR", 12.0)

@@ -634,6 +634,81 @@ class TestLandauLevels:
             assert np.abs(block.toarray() - projected).max() <= (
                 4 * np.finfo(float).eps * np.abs(dense).max())
 
+    @staticmethod
+    def _reflection_basis(orbits, n):
+        """W built from the orbits: quadrant cell q at grid cell (i, j) =
+        divmod(orbits[0][q], n) reflects to Dq at (j, i).  Its columns are
+        e_q (q = Dq) or (e_q + e_Dq)/sqrt2 for each q with i >= j, then
+        i(e_q - e_Dq)/sqrt2 for each q with i > j."""
+        position = {cell: q for q, cell in enumerate(orbits[0])}
+        cells = [divmod(cell, n) for cell in orbits[0]]
+        reflect = [position[j * n + i] for i, j in cells]
+        even = [q for q, (i, j) in enumerate(cells) if i >= j]
+        odd = [q for q, (i, j) in enumerate(cells) if i > j]
+        basis = np.zeros((len(cells), len(cells)), dtype=complex)
+        for column, q in enumerate(even):
+            basis[[q, reflect[q]], column] = 1.0 if q == reflect[q] else np.sqrt(0.5)
+        for column, q in enumerate(odd, start=len(even)):
+            basis[q, column] = 1j * np.sqrt(0.5)
+            basis[reflect[q], column] = -1j * np.sqrt(0.5)
+        return basis
+
+    @pytest.mark.parametrize("params", [NATURAL, SCALED], ids=["natural", "scaled"])
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_real_blocks_are_reflection_projections(self, n, params):
+        """Each real block read off H_m by re-indexing equals W^H H_m W with W
+        built from the orbits.  T = K D commutes with H bit for bit, so the
+        imaginary part of W^H H_m W cancels exactly."""
+        orbits = nr._rotation_orbits(n)
+        ham = nr._landau_hamiltonian(1.0, nr.Grid2D(n, 4.0), params)
+        assert nr._reflection_defect(ham, n) == 0.0
+        basis = sparse.csr_matrix(self._reflection_basis(orbits, n))
+        sectors = nr._sector_blocks(ham, orbits)
+        blocks, _ = nr._real_blocks(sectors, n // 2)
+        assert len(blocks) == 4
+        for sector, block in zip(sectors, blocks):
+            projected = (basis.conj().T @ sector @ basis).toarray()
+            assert block.dtype == np.float64
+            assert not projected.imag.any()
+            assert np.abs(block.toarray() - projected.real).max() <= (
+                4 * np.finfo(float).eps * np.abs(ham.data).max())
+
+    @pytest.mark.parametrize("params", [NATURAL, SCALED], ids=["natural", "scaled"])
+    def test_real_weights_need_no_map_back(self, params):
+        """The real sector solve's orbit weights |W|^2 @ u^2 sum to 1 per
+        state, and give each state the mean radius that the complex blocks'
+        eigenvectors c give through |c_q|^2.  At grid 16 and magnetic length
+        4h the 40 lowest eigenvalues lie apart by more than 0.5 % of the
+        lowest, so both solves return the same states in the same order."""
+        n, k, k_sector = 16, 40, 20
+        grid = nr.Grid2D(n, 4.0)
+        b_field = params.hbar / (params.e * (4.0 * grid.spacing) ** 2)
+        orbits = nr._rotation_orbits(n)
+        ham = nr._landau_hamiltonian(b_field, grid, params)
+        values, weights, _ = nr._sector_lowest(ham, orbits, k, k_sector)
+        solves = [nr._lowest_eigenpairs(sector, k_sector)
+                  for sector in nr._sector_blocks(ham, orbits)]
+        complex_values = np.concatenate([v for v, _, _ in solves])
+        order = np.argsort(complex_values)[:k]
+        complex_weights = np.hstack([np.abs(c) ** 2 for _, c, _ in solves])[:, order]
+        squares = nr._cell_centers(grid)[:n // 2] ** 2
+        radius = np.sqrt(np.add.outer(squares, squares)).ravel()
+        assert np.abs(values / complex_values[order] - 1.0).max() <= 1e-12
+        assert np.abs(weights.sum(axis=0) - 1.0).max() <= 1e-12
+        assert np.abs(radius @ weights - radius @ complex_weights).max() <= 1e-12
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex-full", "real-block"])
+    def test_repeated_solves_agree_bit_for_bit(self, real):
+        """One real fixed-seed start vector serves the complex full H and the
+        real blocks alike, and two solves return the same pairs bit for bit."""
+        ham = nr._landau_hamiltonian(0.25, nr.Grid2D(32, 20.0), NATURAL)
+        if real:
+            ham = nr._real_blocks(nr._sector_blocks(ham, nr._rotation_orbits(32)), 16)[0][1]
+        first, second = nr._lowest_eigenpairs(ham, 30), nr._lowest_eigenpairs(ham, 30)
+        assert first[1].dtype == (np.float64 if real else np.complex128)
+        assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
+        assert first[2] == second[2] == 0
+
     @pytest.mark.parametrize("k_sector", [1, 20])
     def test_sector_k_grows_until_certified(self, k_sector, monkeypatch):
         """Started with too few pairs per sector to certify the 80 requested,
