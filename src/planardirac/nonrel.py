@@ -589,54 +589,32 @@ def _sector_blocks(ham: sparse.csr_matrix, orbits: np.ndarray) -> list:
             for m in range(4)]
 
 
-def _real_blocks(blocks: list, half: int):
-    """Each block H_m as the real symmetric W^H H_m W, read off H_m by
-    re-indexing.  Returns (real blocks, |W|^2).
+def _reflection_basis(half: int) -> sparse.csr_matrix:
+    """W, the basis in which T = K D makes every C4 block real symmetric.
 
     D maps quadrant cell q = (i, j), flat index i*half + j, to Dq = (j, i);
-    D R D = R^-1, so T = K D gives T V_m e_q = V_m e_Dq.  W's columns are
+    D R D = R^-1, so T gives T V_m e_q = V_m e_Dq.  W's columns are
     (e_q + e_Dq)/sqrt2, or e_q when q = Dq, for each q with i >= j, then
-    i(e_q - e_Dq)/sqrt2 for each q with i > j.  |W|^2 @ u^2 are the orbit
-    weights |c_q|^2 of c = W u for real u.
-
-    When T commutes with H, H_m[Dq, Dp] = conj H_m[q, p], so only the rows of
-    W's cells are read.  With p' the one of p, Dp that has i >= j and s = +1
-    when p = p', else -1, each v = H_m[q, p] adds Re v (symmetric row q) or
-    Im v (antisymmetric q) at the symmetric column of p', and -s Im v or
-    s Re v at its antisymmetric column; scaled by 1/sqrt2 where q is on the
-    diagonal and by sqrt2 where p is, whose one entry stands for v + v.
+    i(e_q - e_Dq)/sqrt2 for each q with i > j: each is fixed by T, so
+    W^H H_m W is real when T commutes with H.
     """
     i, j = np.divmod(np.arange(half * half), half)
     mirror = j * half + i
-    cells = np.concatenate([np.flatnonzero(i >= j), np.flatnonzero(i > j)])
-    n_even = half * (half + 1) // 2
-    column = np.zeros((2, cells.size), dtype=int)
-    column[0, cells[:n_even]] = np.arange(n_even)
-    column[1, cells[n_even:]] = np.arange(n_even, cells.size)
-    row_scale = np.where(i[cells] == j[cells], np.sqrt(0.5), 1.0)
-    col_scale = np.where(i == j, np.sqrt(2.0), 1.0)
-    out = []
-    for block in blocks:
-        entries = block[cells].tocoo()
-        r, p, v = entries.row, entries.col, entries.data
-        odd = r >= n_even
-        lower = np.maximum(p, mirror[p])
-        sign = np.where(p == lower, 1.0, -1.0)
-        even = np.where(odd, v.imag, v.real) * row_scale[r] * col_scale[p]
-        off = i[p] != j[p]
-        anti = (sign * np.where(odd, v.real, -v.imag) * row_scale[r])[off]
-        real = sparse.csr_matrix(
-            (np.concatenate([even, anti]),
-             (np.concatenate([r, r[off]]),
-              np.concatenate([column[0, lower], column[1, lower[off]]]))),
-            shape=block.shape)
-        real.eliminate_zeros()
-        out.append(real)
-    # q == Dq on the diagonal: its two halves add up to 1.
-    weights = sparse.csr_matrix((np.full(2 * cells.size, 0.5),
-                                 (np.concatenate([cells, mirror[cells]]),
-                                  np.tile(np.arange(cells.size), 2))))
-    return out, weights
+    even, odd = np.flatnonzero(i >= j), np.flatnonzero(i > j)
+    symmetric = np.searchsorted(even, odd)
+    antisymmetric = even.size + np.arange(odd.size)
+    s = np.sqrt(0.5)
+    rows = np.concatenate([even, mirror[odd], odd, mirror[odd]])
+    columns = np.concatenate([np.arange(even.size), symmetric, antisymmetric, antisymmetric])
+    values = np.concatenate([np.where(i[even] == j[even], 1.0, s), np.full(odd.size, s),
+                             np.full(odd.size, 1j * s), np.full(odd.size, -1j * s)])
+    return sparse.csr_matrix((values, (rows, columns)), shape=(half * half, half * half))
+
+
+def _sector_cap(n: int) -> int:
+    """The most pairs _sector_lowest asks of one C4 block of an n x n grid,
+    two fewer than its dimension n*n/4."""
+    return n * n // 4 - 2
 
 
 def _lowest_eigenpairs(ham: sparse.csr_matrix, k: int):
@@ -674,24 +652,28 @@ def _sector_lowest(ham: sparse.csr_matrix, orbits: np.ndarray, k: int,
                    k_sector: int):
     """The k lowest eigenvalues of ham, which commutes with the rotation R
     and with T = K D, solved as four real symmetric blocks W^H V_m^H ham V_m W
-    of dimension n*n/4 (_sector_blocks, _real_blocks).
+    of dimension n*n/4 (_sector_blocks, _reflection_basis).
 
     Each block gives its k_sector lowest pairs (_lowest_eigenpairs).  With
     tau the smallest of the four blocks' largest returned values, every
     eigenvalue of ham below tau has been returned, so the k lowest of the
     union are certified once at least k of them lie below tau.  Until then
-    k_sector doubles, up to n*n/4 - 2; at that cap the values below tau are
-    returned, fewer than k.
+    k_sector doubles, up to _sector_cap; at that cap the values below tau are
+    returned, fewer than k.  They are at most 4 cap - 1, as the block whose
+    largest value is tau returns at most cap - 1 below it.
 
     Returns (values ascending, weights, below_shift).  weights[q, i] is
     |c_q|^2 for the i-th vector's amplitude c_q on orbit q, so the mean of
-    a function constant on orbits is (its quadrant values) @ weights.
+    a function constant on orbits is (its quadrant values) @ weights.  For a
+    real block eigenvector u, c = W u and these are |W|^2 @ u^2.
     below_shift sums the four blocks' inertia counts, or is None when one
     is unknown.
     """
-    blocks, orbit_weights = _real_blocks(_sector_blocks(ham, orbits),
-                                         math.isqrt(orbits.shape[1]))
-    cap = orbits.shape[1] - 2
+    basis = _reflection_basis(math.isqrt(orbits.shape[1]))
+    # .real views the complex data with a stride; splu takes contiguous data.
+    blocks = [(basis.conj().T @ block @ basis).real.copy()
+              for block in _sector_blocks(ham, orbits)]
+    cap = _sector_cap(math.isqrt(orbits.size))
     k_sector = min(k_sector, cap)
     while True:
         solves = [_lowest_eigenpairs(block, k_sector) for block in blocks]
@@ -702,7 +684,7 @@ def _sector_lowest(ham: sparse.csr_matrix, orbits: np.ndarray, k: int,
         if certified.size == k or k_sector == cap:
             break
         k_sector = min(2 * k_sector, cap)
-    weights = np.hstack([orbit_weights @ vectors**2 for _, vectors, _ in solves])
+    weights = abs(basis).power(2) @ np.hstack([vectors for _, vectors, _ in solves]) ** 2
     counts = [count for _, _, count in solves]
     below_shift = None if None in counts else sum(counts)
     return values[certified], weights[:, certified], below_shift
@@ -725,8 +707,10 @@ def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = NATURAL
     R, so H splits into four blocks, one per eigenvalue i^m of R, each of a
     quarter of the dimension.  H also commutes with T = K D, complex
     conjugation times the reflection across the diagonal, which makes each
-    block real symmetric (_real_blocks).  _sector_lowest solves the real
-    blocks and certifies that their union holds the lowest eigenvalues of H.
+    block real symmetric in the basis W (_reflection_basis).  _sector_lowest
+    solves the real blocks and certifies that their union holds the lowest
+    eigenvalues of H, at most 4 _sector_cap(n) - 1 of them, so a larger k is
+    refused before any solve.
     "commutator" is max|R H - H R| / max|H| and "reflection" is
     max|T H - H T| / max|H|.  The real blocks are valid only when both are 0;
     otherwise no block is solved and "levels", "relative_errors" and
@@ -758,10 +742,11 @@ def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = NATURAL
     n = grid.n
     degeneracy = grid.length**2 / (2.0 * np.pi * magnetic_length**2)
     k = int(np.ceil(n_levels * degeneracy + 3 * n_levels + 10))
-    if k > n * n - 2:
+    certifiable = 4 * _sector_cap(n) - 1
+    if k > certifiable:
         raise GridResolutionError(
-            f"{n_levels} levels need k = {k} eigenpairs, more than the "
-            f"n^2 - 2 = {n * n - 2} a {n}x{n} grid holds; lower n_levels")
+            f"{n_levels} levels need k = {k} eigenpairs, more than the n^2 - 9 = "
+            f"{certifiable} the sector solve of a {n}x{n} grid certifies; lower n_levels")
     ham = _landau_hamiltonian(b_field, grid, params)
     orbits = _rotation_orbits(n)
     cyclotron = params.e * b_field / params.m

@@ -398,21 +398,25 @@ class TestLandauReport:
         assert checks[0]["measured"] == 0.0 and checks[1]["measured"] > 0.0
         assert requested == []
 
-    @pytest.mark.parametrize("levels,message,solved", [
-        pytest.param("20", "found only 3 bulk level clusters among 389 eigenvalues at "
-                     "magnetic length 2,", True, id="20"),
-        pytest.param("64", "64 levels need k = 1221 eigenpairs, more than the "
-                     "n^2 - 2 = 1022", False, id="64"),
+    @pytest.mark.parametrize("args,message,solved", [
+        pytest.param(["--levels", "20"], "found only 3 bulk level clusters among 389 "
+                     "eigenvalues at magnetic length 2,", True, id="20"),
+        pytest.param(["--levels", "64"], "64 levels need k = 1221 eigenpairs, more than "
+                     "the n^2 - 9 = 1015", False, id="64"),
+        pytest.param(["--B", "0.2821223263217904", "--levels", "48"], "48 levels need "
+                     "k = 1017 eigenpairs, more than the n^2 - 9 = 1015", False, id="48"),
     ])
-    def test_too_many_levels_exit_two(self, levels, message, solved, capsys, monkeypatch):
+    def test_too_many_levels_exit_two(self, args, message, solved, capsys, monkeypatch):
         """More levels than the grid-32 box holds is a usage error: found
-        after the solve at 20 levels, and refused before any eigensolve at 64,
-        whose k exceeds n*n - 2."""
+        after the solve at 20 levels, and refused before any eigensolve where
+        k exceeds the n*n - 9 values the four C4 blocks, at n*n/4 - 2 pairs
+        each, can certify: k = 1221 at 64 levels, and k = 1017, just above
+        that bound, at 48 levels in a stronger field."""
         requested = []
         eigsh = cli.nonrel.eigsh
         monkeypatch.setattr(cli.nonrel, "eigsh",
                             lambda *a, **kw: requested.append(kw["k"]) or eigsh(*a, **kw))
-        code, _, err = run_main(["landau", "--grid", "32", "--levels", levels], capsys)
+        code, _, err = run_main(["landau", "--grid", "32", *args], capsys)
         assert code == 2
         assert message in err
         assert bool(requested) == solved

@@ -656,22 +656,18 @@ class TestLandauLevels:
     @pytest.mark.parametrize("params", [NATURAL, SCALED], ids=["natural", "scaled"])
     @pytest.mark.parametrize("n", [8, 16])
     def test_real_blocks_are_reflection_projections(self, n, params):
-        """Each real block read off H_m by re-indexing equals W^H H_m W with W
-        built from the orbits.  T = K D commutes with H bit for bit, so the
-        imaginary part of W^H H_m W cancels exactly."""
+        """The solve's W equals, entry for entry, W built from the orbits.  T =
+        K D commutes with H bit for bit, so the imaginary part of each
+        W^H H_m W cancels exactly and its real part is symmetric."""
         orbits = nr._rotation_orbits(n)
         ham = nr._landau_hamiltonian(1.0, nr.Grid2D(n, 4.0), params)
         assert nr._reflection_defect(ham, n) == 0.0
-        basis = sparse.csr_matrix(self._reflection_basis(orbits, n))
-        sectors = nr._sector_blocks(ham, orbits)
-        blocks, _ = nr._real_blocks(sectors, n // 2)
-        assert len(blocks) == 4
-        for sector, block in zip(sectors, blocks):
+        basis = nr._reflection_basis(n // 2)
+        assert np.array_equal(basis.toarray(), self._reflection_basis(orbits, n))
+        for sector in nr._sector_blocks(ham, orbits):
             projected = (basis.conj().T @ sector @ basis).toarray()
-            assert block.dtype == np.float64
             assert not projected.imag.any()
-            assert np.abs(block.toarray() - projected.real).max() <= (
-                4 * np.finfo(float).eps * np.abs(ham.data).max())
+            assert np.array_equal(projected.real, projected.real.T)
 
     @pytest.mark.parametrize("params", [NATURAL, SCALED], ids=["natural", "scaled"])
     def test_real_weights_need_no_map_back(self, params):
@@ -703,7 +699,9 @@ class TestLandauLevels:
         real blocks alike, and two solves return the same pairs bit for bit."""
         ham = nr._landau_hamiltonian(0.25, nr.Grid2D(32, 20.0), NATURAL)
         if real:
-            ham = nr._real_blocks(nr._sector_blocks(ham, nr._rotation_orbits(32)), 16)[0][1]
+            basis = nr._reflection_basis(16)
+            sector = nr._sector_blocks(ham, nr._rotation_orbits(32))[1]
+            ham = (basis.conj().T @ sector @ basis).real.copy()
         first, second = nr._lowest_eigenpairs(ham, 30), nr._lowest_eigenpairs(ham, 30)
         assert first[1].dtype == (np.float64 if real else np.complex128)
         assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
