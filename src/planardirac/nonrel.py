@@ -172,6 +172,14 @@ def _gaussian_factors(grid: Grid2D, center, k0: Momentum, sigma: float):
             np.exp(-((y - center[1]) ** 2) / width + 1j * k0.ky * y))
 
 
+def _folded_weights(spectra):
+    """|f|^2 of each 1-D spectrum f with index n - j added onto j <= n/2:
+    fftfreq gives k[n - j] = -k[j] exactly, so both hold the same k^2."""
+    n = len(spectra[0])
+    fold = np.minimum(np.arange(n), n - np.arange(n))
+    return [np.bincount(fold, np.abs(f) ** 2) for f in spectra]
+
+
 def _closure_ratio(grid: Grid2D, params: PhysicalParams, spectra) -> float | None:
     """The small-component closure error of a positive-branch packet over
     its mean (hbar |k| / m c)^2, or None when it has no lower component.
@@ -185,12 +193,10 @@ def _closure_ratio(grid: Grid2D, params: PhysicalParams, spectra) -> float | Non
     on kx^2 and ky^2 alone and |S|^2 separates, so the axis weights are
     folded onto j <= n/2 and the sums run over the quadrant of _mode_terms.
     """
-    n = grid.n
     q, energy = _mode_terms(grid, params)
-    half = q[: n // 2 + 1] ** 2
+    half = q[: grid.n // 2 + 1] ** 2
     p2 = np.add.outer(half, half)
-    fold = np.minimum(np.arange(n), n - np.arange(n))
-    wx, wy = (np.bincount(fold, np.abs(f) ** 2) for f in spectra)
+    wx, wy = _folded_weights(spectra)
     weight = np.multiply.outer(wx / np.sum(wx), wy / np.sum(wy))
     excess = p2 / (energy + params.rest_energy)  # E - m c^2
     lower = weight * excess  # proportional to |G1 S / divisor|^2
@@ -238,21 +244,23 @@ def negative_branch_weight(f: WaveField, params: PhysicalParams = NATURAL_UNITS)
     return float(np.sqrt(np.sum(np.abs(c_v) ** 2) / total))
 
 
-def _dirac_propagator(grid: Grid2D, params: PhysicalParams, t: float,
-                      diagonal_only: bool = False):
-    """(diag, off) per mode, with U(t) = exp(-i t H(k)/hbar) = [[diag, conj(off)],
-    [-off, conj(diag)]].
+def _propagator_quadrant(grid: Grid2D, params: PhysicalParams, t: float):
+    """q of _mode_terms, and diag and sin(w t)/E of U(t) on its quadrant.
 
     H(k) is Hermitian with H(k)^2 = E^2, E = hbar*w(k), so
-    U = cos(w t) - i sin(w t) H(k)/E: exactly unitary for any t.  With
-    diagonal_only, off is None: the upper component of U (psi, 0) is
-    diag * psi alone.
+    U = cos(w t) - i sin(w t) H(k)/E: exactly unitary for any t.
     """
     q, energy = _mode_terms(grid, params)
     theta = energy * t / params.hbar  # = w(k) t
     sin_t = np.sin(theta) / energy
-    diag = _mirror(np.cos(theta) - 1j * sin_t * params.rest_energy)
-    return diag, (None if diagonal_only else _mirror(sin_t) * _momentum(q))
+    return q, np.cos(theta) - 1j * sin_t * params.rest_energy, sin_t
+
+
+def _dirac_propagator(grid: Grid2D, params: PhysicalParams, t: float):
+    """(diag, off) per mode, with U(t) = exp(-i t H(k)/hbar) = [[diag, conj(off)],
+    [-off, conj(diag)]] (see _propagator_quadrant)."""
+    q, diag, sin_t = _propagator_quadrant(grid, params, t)
+    return _mirror(diag), _mirror(sin_t) * _momentum(q)
 
 
 def _dirac_step(spectrum: np.ndarray, diag: np.ndarray, off: np.ndarray,
@@ -298,13 +306,15 @@ def remove_rest_phase(f: WaveField, t: float, params: PhysicalParams = NATURAL_U
     return replace(f, data=f.data * _rest_phase(params, t), gauge_frame=True)
 
 
-def _kinetic_phase(grid: Grid2D, params: PhysicalParams, dt: float) -> np.ndarray:
-    """exp(-i hbar |k|^2 dt / 2m) per mode.
+def _kinetic_phase(grid: Grid2D, params: PhysicalParams, dt: float,
+                   modes: int = None) -> np.ndarray:
+    """exp(-i hbar |k|^2 dt / 2m) per mode, on the first modes FFT indices of
+    each axis (all n by default).
 
     The phase of |k|^2 = kx^2 + ky^2 factors, so this is the outer product
     of one phase per axis: n exponentials, not n^2.
     """
-    k = grid.wavenumber_axis()
+    k = grid.wavenumber_axis()[:modes]
     phase = np.exp(-1j * (params.hbar * k**2 / (2.0 * params.m)) * dt)
     return np.multiply.outer(phase, phase)
 
@@ -367,6 +377,22 @@ def _relative_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(a - b) ** 2) / np.sum(np.abs(b) ** 2)))
 
 
+def _one_step_distance(grid: Grid2D, params: PhysicalParams, spectra, t: float) -> float:
+    """The gauge-frame distance one step of length t makes from (S, 0), S the
+    outer product of the 1-D spectra, summed over the quadrant.
+
+    The step gives diag S exp(i m c^2 t/hbar) against S K_x K_y, so the
+    squared distance is the |S|^2-weighted mean of
+    |diag exp(i m c^2 t/hbar) - K_x K_y|^2.  That depends on kx^2 and ky^2
+    alone, and fftfreq gives k[n - j] = -k[j] exactly, so the sums fold onto
+    j, l <= n/2 bit for bit.
+    """
+    _, diag, _ = _propagator_quadrant(grid, params, t)
+    gap = diag * _rest_phase(params, t) - _kinetic_phase(grid, params, t, grid.n // 2 + 1)
+    weight = np.multiply.outer(*_folded_weights(spectra))
+    return float(np.sqrt(np.sum(weight * (gap.real**2 + gap.imag**2)) / np.sum(weight)))
+
+
 def compare_limit(dirac_field: WaveField, schrod_field: WaveField) -> float:
     """Relative L2 distance between the Dirac upper component and the
     Schrodinger field."""
@@ -408,10 +434,10 @@ def _limit_spectra(k0: Momentum, n: int, t_final: float, params: PhysicalParams,
     from (psi, 0) in closed form), and removes the rest-mass phase.  Returns
     (out, grid, dirac, schrodinger): out holds "distance", "vc_scale",
     "inputs" (_limit_inputs) and, unless upper_only, "closure"
-    (_closure_ratio of the packet); schrodinger (n, n) and dirac are the
-    spectra at t_final, Dirac in the gauge frame.  dirac is the (2, n, n)
-    spinor, or with upper_only (one step) its upper component diag * psi
-    alone.
+    (_closure_ratio of the packet); schrodinger (n, n) and dirac (2, n, n)
+    are the spectra at t_final, Dirac in the gauge frame.  A one-step run
+    takes its distance from _one_step_distance; an upper_only run (one step)
+    computes nothing else, and its spectra are None.
     """
     inputs = _limit_inputs(k0, n, t_final, params, sigma, box, steps)
     steps = inputs["steps"]
@@ -420,31 +446,28 @@ def _limit_spectra(k0: Momentum, n: int, t_final: float, params: PhysicalParams,
     grid = Grid2D(n, inputs["box"])
     spectra = [np.fft.fft(f, norm="ortho")
                for f in _gaussian_factors(grid, (0.0, 0.0), k0, inputs["sigma"])]
+    out = {"vc_scale": params.hbar * k0.magnitude / (params.m * params.c), "inputs": inputs}
+    if upper_only:
+        out["distance"] = _one_step_distance(grid, params, spectra, t_final)
+        return out, grid, None, None
     # Before any n^2 array exists, so the quadrant sums add nothing to the peak.
-    closure = None if upper_only else _closure_ratio(grid, params, spectra)
+    out["closure"] = _closure_ratio(grid, params, spectra)
     # The unitary DFT keeps the norm, so this normalizes the packet.
     schrod = np.multiply.outer(*spectra)
     schrod /= WaveField(grid, schrod).norm
 
     dt = t_final / steps
-    diag, off = _dirac_propagator(grid, params, dt, diagonal_only=upper_only)
-    if upper_only:
-        dirac = diag * schrod
-    else:
-        dirac = np.stack([diag * schrod, -(off * schrod)])
-        _dirac_step(dirac, diag, off, steps - 1)
+    diag, off = _dirac_propagator(grid, params, dt)
+    dirac = np.stack([diag * schrod, -(off * schrod)])
+    _dirac_step(dirac, diag, off, steps - 1)
     del diag, off  # freed before the kinetic phase is built: a lower peak
     kin_phase = _kinetic_phase(grid, params, dt)
     for _ in range(steps):
         schrod *= kin_phase
     dirac *= _rest_phase(params, t_final)
-    out = {
-        "distance": _relative_distance(dirac if upper_only else dirac[0], schrod),
-        "vc_scale": params.hbar * k0.magnitude / (params.m * params.c),
-        "inputs": inputs,
-    }
-    if not upper_only:
-        out["closure"] = closure
+    # Last: taken before the n^2 spectra, the sums raised peak RSS.
+    out["distance"] = (_one_step_distance(grid, params, spectra, t_final) if steps == 1
+                       else _relative_distance(dirac[0], schrod))
     return out, grid, dirac, schrod
 
 
@@ -471,6 +494,7 @@ def run_limit_comparison(k0x: float, k0y: float = 0.0, n: int = 128,
                                               sigma, box, steps)
     dirac_t = WaveField(grid, np.fft.ifft2(dirac, norm="ortho"), gauge_frame=True,
                         time=t_final)
+    del dirac  # freed before the Schrodinger field is built: a lower peak
     schrod_t = WaveField(grid, np.fft.ifft2(schrod, norm="ortho"), time=t_final)
     out["boundary_density"] = max(boundary_density(dirac_t), boundary_density(schrod_t))
     if keep_fields:
@@ -484,8 +508,8 @@ def limit_scaling_study(k0_values, n: int = 128, t_final: float = 10.0,
     """Distances at several velocity scales plus the fitted log-log slope.
 
     Each |k0| value runs at k0 = (|k0|, 0), the default geometry and one
-    step, and only its distance is read, so no run forms a lower component
-    or returns to real space.  A result of run_limit_comparison in known
+    step, and only its distance is read, summed over the quadrant, so no run
+    builds an n^2 array.  A result of run_limit_comparison in known
     whose "inputs" equal such a run's is used in its place.  When a distance
     is exactly 0 (the fields never moved apart, as at a subnormal t_final)
     there is nothing to fit: "slope" and "halving_ratios" are then None.

@@ -1,6 +1,8 @@
 """Spectral evolution, the Schrodinger reduction, minimal coupling, and the
 field snapshot formats."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -502,12 +504,52 @@ class TestCompareLimit:
 
     @pytest.mark.parametrize("k0,n,t", [(0.05, 128, 10.0), (0.03, 128, 25.0), (0.2, 256, 3.7)])
     def test_upper_only_distance_is_bit_identical(self, k0, n, t):
-        """From (psi, 0), one step's upper component is diag * psi alone, so
-        the run that forms no lower component reads the same distance."""
+        """A one-step run and the run that builds no spectra read the same
+        distance off the same quadrant sum."""
         full = nr._limit_spectra(Momentum(k0, 0.0), n, t, NATURAL)
         upper = nr._limit_spectra(Momentum(k0, 0.0), n, t, NATURAL, upper_only=True)
-        assert full[2].shape == (2, n, n) and upper[2].shape == (n, n)
         assert upper[0] == {key: v for key, v in full[0].items() if key != "closure"}
+
+    @pytest.mark.parametrize("k0,sigma,box,n,t,params", [
+        ((0.05, 0.0), None, None, 128, 10.0, NATURAL),
+        ((0.03, 0.0), None, None, 128, 25.0, NATURAL),
+        ((0.03, 0.04), None, None, 128, 10.0, NATURAL),
+        ((0.0, 0.0), 5.0, 120.0, 128, 10.0, NATURAL),
+        ((0.2, 0.0), None, None, 256, 3.7, NATURAL),
+        # hbar k0 / m c = 0.1
+        ((0.1 * 2.0 * 3.0 / 0.7, 0.0), None, None, 128, 10.0 * 0.7 / 18.0, SCALED),
+    ])
+    def test_one_step_distance_matches_full_mesh(self, k0, sigma, box, n, t, params):
+        """The quadrant sum is the distance of diag psi exp(i m c^2 t / hbar)
+        from the Schrodinger spectrum, both formed on the n^2 mesh."""
+        inputs = nr._limit_inputs(Momentum(*k0), n, t, params, sigma, box)
+        grid = nr.Grid2D(n, inputs["box"])
+        packet = nr.build_gaussian(grid, (0.0, 0.0), Momentum(*k0), inputs["sigma"])
+        psi = np.fft.fft2(packet.data, norm="ortho")
+        kx, ky = grid.wavenumbers()
+        k2 = kx**2 + ky**2
+        energy = np.sqrt((params.c * params.hbar) ** 2 * k2 + params.rest_energy**2)
+        theta = energy * t / params.hbar
+        diag = np.cos(theta) - 1j * np.sin(theta) * params.rest_energy / energy
+        upper = diag * psi * np.exp(1j * params.rest_energy * t / params.hbar)
+        schrod = psi * np.exp(-1j * params.hbar * k2 * t / (2.0 * params.m))
+        spectra = [np.fft.fft(f, norm="ortho")
+                   for f in nr._gaussian_factors(grid, (0.0, 0.0), Momentum(*k0),
+                                                 inputs["sigma"])]
+        assert nr._one_step_distance(grid, params, spectra, t) == pytest.approx(
+            nr._relative_distance(upper, schrod), rel=1e-12, abs=0.0)
+
+    def test_upper_only_run_builds_no_mesh_array(self):
+        """An upper-only run at n = 512 peaks below two complex n^2 arrays
+        (it needs none; the mesh path held about 4.5)."""
+        n = 512
+        tracemalloc.start()
+        try:
+            nr._limit_spectra(Momentum(0.05, 0.0), n, 10.0, NATURAL, upper_only=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 16 * n * n
 
     def test_upper_only_takes_one_step(self):
         with pytest.raises(ValueError, match="one step"):
