@@ -272,7 +272,7 @@ def run_evolve(report: RunReport, args: argparse.Namespace) -> None:
     run = nonrel.run_limit_comparison(args.k0x, args.k0y, n=args.grid, t_final=args.time,
                                       sigma=args.sigma, box=args.box, steps=args.steps,
                                       keep_fields=args.out is not None)
-    report.parameters.update(sigma=run["inputs"]["sigma"], box=run["inputs"]["box"],
+    report.parameters.update(sigma=run["sigma"], box=run["box"],
                              vc_scale=run["vc_scale"])
     report.add(bound_check("dirac vs schrodinger relative distance",
                            run["distance"], 1e-12 if args.time == 0.0 else 1e-2))
@@ -286,8 +286,7 @@ def run_evolve(report: RunReport, args: argparse.Namespace) -> None:
     k0_mag = float(np.hypot(args.k0x, args.k0y))
     if args.time > 0.0 and k0_mag > 0.0:
         study = nonrel.limit_scaling_study(
-            [0.5 * k0_mag, k0_mag, 2.0 * k0_mag], n=args.grid, t_final=args.time,
-            known=[run])
+            [0.5 * k0_mag, k0_mag, 2.0 * k0_mag], n=args.grid, t_final=args.time)
         report.parameters["scaling_distances"] = study["distances"]
         report.parameters["scaling_vc"] = study["vc_scales"]
         ratio_names = [f"distance ratio on halving k0 (pair {i})"

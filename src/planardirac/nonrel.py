@@ -256,10 +256,9 @@ def _propagator_quadrant(grid: Grid2D, params: PhysicalParams, t: float):
     return q, np.cos(theta) - 1j * sin_t * params.rest_energy, sin_t
 
 
-def _dirac_propagator(grid: Grid2D, params: PhysicalParams, t: float):
-    """(diag, off) per mode, with U(t) = exp(-i t H(k)/hbar) = [[diag, conj(off)],
-    [-off, conj(diag)]] (see _propagator_quadrant)."""
-    q, diag, sin_t = _propagator_quadrant(grid, params, t)
+def _dirac_propagator(q: np.ndarray, diag: np.ndarray, sin_t: np.ndarray):
+    """(diag, off) per mode on the full mesh, with U(t) = exp(-i t H(k)/hbar) =
+    [[diag, conj(off)], [-off, conj(diag)]], from _propagator_quadrant."""
     return _mirror(diag), _mirror(sin_t) * _momentum(q)
 
 
@@ -294,7 +293,7 @@ def evolve_dirac(f: WaveField, t: float, params: PhysicalParams = NATURAL_UNITS)
     if f.gauge_frame:
         raise GaugeFrameError("evolve_dirac expects a lab-frame field")
     spectrum = np.fft.fft2(f.data, norm="ortho")
-    _dirac_step(spectrum, *_dirac_propagator(f.grid, params, t))
+    _dirac_step(spectrum, *_dirac_propagator(*_propagator_quadrant(f.grid, params, t)))
     data = np.fft.ifft2(spectrum, norm="ortho")
     return WaveField(f.grid, data, gauge_frame=False, time=f.time + t)
 
@@ -377,9 +376,11 @@ def _relative_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(a - b) ** 2) / np.sum(np.abs(b) ** 2)))
 
 
-def _one_step_distance(grid: Grid2D, params: PhysicalParams, spectra, t: float) -> float:
+def _one_step_distance(grid: Grid2D, params: PhysicalParams, spectra, diag: np.ndarray,
+                       t: float) -> float:
     """The gauge-frame distance one step of length t makes from (S, 0), S the
-    outer product of the 1-D spectra, summed over the quadrant.
+    outer product of the 1-D spectra, summed over the quadrant; diag is
+    U(t)'s diagonal there (_propagator_quadrant).
 
     The step gives diag S exp(i m c^2 t/hbar) against S K_x K_y, so the
     squared distance is the |S|^2-weighted mean of
@@ -387,7 +388,6 @@ def _one_step_distance(grid: Grid2D, params: PhysicalParams, spectra, t: float) 
     alone, and fftfreq gives k[n - j] = -k[j] exactly, so the sums fold onto
     j, l <= n/2 bit for bit.
     """
-    _, diag, _ = _propagator_quadrant(grid, params, t)
     gap = diag * _rest_phase(params, t) - _kinetic_phase(grid, params, t, grid.n // 2 + 1)
     weight = np.multiply.outer(*_folded_weights(spectra))
     return float(np.sqrt(np.sum(weight * (gap.real**2 + gap.imag**2)) / np.sum(weight)))
@@ -405,12 +405,10 @@ def compare_limit(dirac_field: WaveField, schrod_field: WaveField) -> float:
     return _relative_distance(dirac_field.data[0], schrod_field.data)
 
 
-def _limit_inputs(k0: Momentum, n: int, t_final: float, params: PhysicalParams,
-                  sigma: float = None, box: float = None, steps: int = None) -> dict:
-    """A limit run's inputs with the defaults filled in: sigma = 4/|k0| (box/24
-    at k0 = 0), box = 24*sigma, one step.  Runs with equal inputs are equal."""
-    if steps is not None and steps < 1:
-        raise ValueError("steps must be >= 1")
+def _packet(k0: Momentum, n: int, sigma: float = None, box: float = None):
+    """A limit run's packet with the defaults filled in: sigma = 4/|k0| (box/24
+    at k0 = 0), box = 24*sigma.  Returns (grid, sigma, spectra), spectra the
+    unitary DFTs of the packet's x and y factors."""
     if sigma is None:
         if k0.magnitude == 0.0:
             if box is None:
@@ -418,57 +416,9 @@ def _limit_inputs(k0: Momentum, n: int, t_final: float, params: PhysicalParams,
             sigma = box / 24.0
         else:
             sigma = 4.0 / k0.magnitude
-    if box is None:
-        box = 24.0 * sigma
-    return dict(k0=k0, n=n, t_final=t_final, params=params, sigma=sigma, box=box,
-                steps=steps or 1)
-
-
-def _limit_spectra(k0: Momentum, n: int, t_final: float, params: PhysicalParams,
-                   sigma: float = None, box: float = None, steps: int = None,
-                   upper_only: bool = False):
-    """The limit comparison done on unitary spectra, with no real-space step.
-
-    Builds U(dt) and the kinetic phase for dt = t_final/steps once, applies
-    them steps times to the spectrum of the normalized packet (the first step
-    from (psi, 0) in closed form), and removes the rest-mass phase.  Returns
-    (out, grid, dirac, schrodinger): out holds "distance", "vc_scale",
-    "inputs" (_limit_inputs) and, unless upper_only, "closure"
-    (_closure_ratio of the packet); schrodinger (n, n) and dirac (2, n, n)
-    are the spectra at t_final, Dirac in the gauge frame.  A one-step run
-    takes its distance from _one_step_distance; an upper_only run (one step)
-    computes nothing else, and its spectra are None.
-    """
-    inputs = _limit_inputs(k0, n, t_final, params, sigma, box, steps)
-    steps = inputs["steps"]
-    if upper_only and steps != 1:
-        raise ValueError("an upper-only run takes exactly one step")
-    grid = Grid2D(n, inputs["box"])
-    spectra = [np.fft.fft(f, norm="ortho")
-               for f in _gaussian_factors(grid, (0.0, 0.0), k0, inputs["sigma"])]
-    out = {"vc_scale": params.hbar * k0.magnitude / (params.m * params.c), "inputs": inputs}
-    if upper_only:
-        out["distance"] = _one_step_distance(grid, params, spectra, t_final)
-        return out, grid, None, None
-    # Before any n^2 array exists, so the quadrant sums add nothing to the peak.
-    out["closure"] = _closure_ratio(grid, params, spectra)
-    # The unitary DFT keeps the norm, so this normalizes the packet.
-    schrod = np.multiply.outer(*spectra)
-    schrod /= WaveField(grid, schrod).norm
-
-    dt = t_final / steps
-    diag, off = _dirac_propagator(grid, params, dt)
-    dirac = np.stack([diag * schrod, -(off * schrod)])
-    _dirac_step(dirac, diag, off, steps - 1)
-    del diag, off  # freed before the kinetic phase is built: a lower peak
-    kin_phase = _kinetic_phase(grid, params, dt)
-    for _ in range(steps):
-        schrod *= kin_phase
-    dirac *= _rest_phase(params, t_final)
-    # Last: taken before the n^2 spectra, the sums raised peak RSS.
-    out["distance"] = (_one_step_distance(grid, params, spectra, t_final) if steps == 1
-                       else _relative_distance(dirac[0], schrod))
-    return out, grid, dirac, schrod
+    grid = Grid2D(n, 24.0 * sigma if box is None else box)
+    return grid, sigma, [np.fft.fft(f, norm="ortho")
+                         for f in _gaussian_factors(grid, (0.0, 0.0), k0, sigma)]
 
 
 def run_limit_comparison(k0x: float, k0y: float = 0.0, n: int = 128,
@@ -483,15 +433,51 @@ def run_limit_comparison(k0x: float, k0y: float = 0.0, n: int = 128,
     condition.  The small negative-branch admixture this carries is the
     O((v/c)^2) physics the comparison measures.
 
-    Geometry defaults scale with the packet: sigma = 4/|k0| and box = 24*sigma,
-    keeping the relative momentum spread fixed across scaling runs.  steps
-    splits the evolution into sequential applications of U(t/steps) in
-    Fourier space (free evolution is step-count independent; this exercises
-    the group property).  Only the final fields return to real space, for
-    the boundary density and keep_fields.
+    Geometry defaults scale with the packet (_packet), keeping the relative
+    momentum spread fixed across scaling runs; "sigma" and "box" report the
+    values used.  The run stays on unitary spectra: U(dt) and the kinetic
+    phase for dt = t_final/steps are built once and applied steps times
+    (free evolution is step-count independent; this exercises the group
+    property), the first step from (psi, 0) in closed form, and the
+    rest-mass phase is removed.  A one-step run takes its distance from
+    _one_step_distance.  "closure" is _closure_ratio of the packet.  Only
+    the final fields return to real space, for the boundary density and
+    keep_fields.
     """
-    out, grid, dirac, schrod = _limit_spectra(Momentum(k0x, k0y), n, t_final, params,
-                                              sigma, box, steps)
+    if steps is not None and steps < 1:
+        raise ValueError("steps must be >= 1")
+    steps = steps or 1
+    k0 = Momentum(k0x, k0y)
+    grid, sigma, spectra = _packet(k0, n, sigma, box)
+    out = {"vc_scale": params.hbar * k0.magnitude / (params.m * params.c),
+           "sigma": sigma, "box": grid.length,
+           # Before any n^2 array exists, so the quadrant sums add nothing to the peak.
+           "closure": _closure_ratio(grid, params, spectra)}
+    # The unitary DFT keeps the norm, so this normalizes the packet.
+    schrod = np.multiply.outer(*spectra)
+    schrod /= WaveField(grid, schrod).norm
+
+    dt = t_final / steps
+    quadrant = _propagator_quadrant(grid, params, dt)
+    diag, off = _dirac_propagator(*quadrant)
+    # Only a one-step run reads the quadrant again, for its distance; a longer
+    # run frees it before stepping: a lower peak.
+    one_step_diag = quadrant[1] if steps == 1 else None
+    del quadrant
+    dirac = np.empty((2, n, n), dtype=complex)
+    np.multiply(diag, schrod, out=dirac[0])
+    np.negative(np.multiply(off, schrod, out=dirac[1]), out=dirac[1])
+    _dirac_step(dirac, diag, off, steps - 1)
+    del diag, off  # freed before the kinetic phase is built: a lower peak
+    kin_phase = _kinetic_phase(grid, params, dt)
+    for _ in range(steps):
+        schrod *= kin_phase
+    dirac *= _rest_phase(params, t_final)
+    # Last: taken before the n^2 spectra, the sums raised peak RSS.
+    out["distance"] = (_one_step_distance(grid, params, spectra, one_step_diag, t_final)
+                       if steps == 1 else _relative_distance(dirac[0], schrod))
+    del one_step_diag, kin_phase  # freed before the inverse FFTs: a lower peak
+
     dirac_t = WaveField(grid, np.fft.ifft2(dirac, norm="ortho"), gauge_frame=True,
                         time=t_final)
     del dirac  # freed before the Schrodinger field is built: a lower peak
@@ -504,25 +490,28 @@ def run_limit_comparison(k0x: float, k0y: float = 0.0, n: int = 128,
 
 
 def limit_scaling_study(k0_values, n: int = 128, t_final: float = 10.0,
-                        params: PhysicalParams = NATURAL_UNITS, known=()) -> dict:
+                        params: PhysicalParams = NATURAL_UNITS) -> dict:
     """Distances at several velocity scales plus the fitted log-log slope.
 
     Each |k0| value runs at k0 = (|k0|, 0), the default geometry and one
-    step, and only its distance is read, summed over the quadrant, so no run
-    builds an n^2 array.  A result of run_limit_comparison in known
-    whose "inputs" equal such a run's is used in its place.  When a distance
-    is exactly 0 (the fields never moved apart, as at a subnormal t_final)
-    there is nothing to fit: "slope" and "halving_ratios" are then None.
+    step, and only its distance is read: the quadrant sum of
+    run_limit_comparison's one-step run, so no run builds an n^2 array.
+    When a distance is exactly 0 (the fields never moved apart, as at a
+    subnormal t_final) there is nothing to fit: "slope" and "halving_ratios"
+    are then None.
     """
-    inputs = [_limit_inputs(Momentum(k, 0.0), n, t_final, params) for k in sorted(k0_values)]
-    runs = [next((r for r in known if r["inputs"] == i), None)
-            or _limit_spectra(**i, upper_only=True)[0] for i in inputs]
-    vcs = np.array([r["vc_scale"] for r in runs])
-    distances = np.array([r["distance"] for r in runs])
+    k0s = [Momentum(k, 0.0) for k in sorted(k0_values)]
+    distances = []
+    for k0 in k0s:
+        grid, _, spectra = _packet(k0, n)
+        diag = _propagator_quadrant(grid, params, t_final)[1]
+        distances.append(_one_step_distance(grid, params, spectra, diag, t_final))
+    vcs = np.array([params.hbar * k0.magnitude / (params.m * params.c) for k0 in k0s])
+    distances = np.array(distances)
     slope = ratios = None
     if distances.all():
         slope = float(np.polyfit(np.log(vcs), np.log(distances), 1)[0])
-        ratios = [float(distances[i + 1] / distances[i]) for i in range(len(runs) - 1)]
+        ratios = [float(distances[i + 1] / distances[i]) for i in range(len(k0s) - 1)]
     return {"vc_scales": vcs.tolist(), "distances": distances.tolist(),
             "slope": slope, "halving_ratios": ratios}
 

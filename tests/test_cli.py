@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from planardirac import cli
-from planardirac.planewave import Momentum, PhysicalParams
 from planardirac.reporting import RunReport
 
 
@@ -480,28 +479,18 @@ class TestEvolveCommand:
         assert not closure["passed"]
         assert closure["expected"] == "the packet has no lower component to close"
 
-    @pytest.mark.parametrize("flags,runs", [
-        ([], 3), (["--steps", "1"], 3),
-        (["--k0x=-0.05"], 4), (["--k0y", "0.01"], 4), (["--sigma", "90"], 4),
-        (["--box", "2000"], 4), (["--steps", "2"], 4),
-        (["--sigma", "80"], 3), (["--box", "1920"], 3),
-    ])
-    def test_main_run_reused_only_when_identical(self, flags, runs, capsys, monkeypatch):
-        """The |k0| scaling run is the main run whenever their resolved inputs
-        are equal, whether flags are omitted or spell out the defaults; only
-        then is it reused."""
-        calls = []
-        spectra = cli.nonrel._limit_spectra
-        monkeypatch.setattr(cli.nonrel, "_limit_spectra",
-                            lambda *a, **kw: calls.append(a) or spectra(*a, **kw))
+    @pytest.mark.parametrize("flags", [[], ["--steps", "1"], ["--sigma", "80"],
+                                       ["--box", "1920"]])
+    def test_main_run_distance_is_the_study_distance(self, flags, capsys):
+        """Where the main run is the study's |k0| run, whether flags are
+        omitted or spell out the defaults, the two compute the same quadrant
+        sum on their own and agree bit for bit."""
         code, out, _ = run_main(["--json", "evolve", *flags], capsys)
         assert code == 0
-        assert len(calls) == runs
-        if runs == 3:
-            fresh = spectra(Momentum(0.05, 0.0), 128, 10.0, PhysicalParams(),
-                            upper_only=True)[0]
-            reused = json.loads(out)["parameters"]["scaling_distances"][1]
-            assert reused == fresh["distance"]
+        doc = json.loads(out)
+        measured = {c["name"]: c["measured"] for c in doc["checks"]}[
+            "dirac vs schrodinger relative distance"]
+        assert doc["parameters"]["scaling_distances"][1] == measured
 
     def test_snapshot_export(self, capsys, tmp_path):
         out_dir = tmp_path / "snaps"

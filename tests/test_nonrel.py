@@ -280,9 +280,8 @@ class TestSmallComponent:
         full-mesh closure error over the mean (hbar |k| / m c)^2."""
         run = nr.run_limit_comparison(*k0, n=n, t_final=0.0, params=params,
                                       sigma=sigma, box=box)
-        grid = nr.Grid2D(n, run["inputs"]["box"])
-        closure, mean_vc2 = full_mesh_closure(grid, Momentum(*k0), run["inputs"]["sigma"],
-                                              params)
+        grid = nr.Grid2D(n, run["box"])
+        closure, mean_vc2 = full_mesh_closure(grid, Momentum(*k0), run["sigma"], params)
         assert run["closure"] == pytest.approx(closure / mean_vc2, rel=1e-11, abs=0.0)
 
     @pytest.mark.parametrize("kx", [0.1, 0.05])
@@ -312,9 +311,9 @@ class TestSmallComponent:
         """Halving the wavenumber quarters the closure deviation."""
         def deviation(k0):
             run = nr.run_limit_comparison(k0, n=128, t_final=0.0)
-            grid = nr.Grid2D(128, run["inputs"]["box"])
+            grid = nr.Grid2D(128, run["box"])
             return run["closure"] * full_mesh_closure(grid, Momentum(k0, 0.0),
-                                                      run["inputs"]["sigma"], NATURAL)[1]
+                                                      run["sigma"], NATURAL)[1]
 
         ratio = deviation(0.1) / deviation(0.05)
         assert 3.5 < ratio < 4.5
@@ -502,14 +501,6 @@ class TestCompareLimit:
             reference += reference
         assert fast == pytest.approx(reference, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("k0,n,t", [(0.05, 128, 10.0), (0.03, 128, 25.0), (0.2, 256, 3.7)])
-    def test_upper_only_distance_is_bit_identical(self, k0, n, t):
-        """A one-step run and the run that builds no spectra read the same
-        distance off the same quadrant sum."""
-        full = nr._limit_spectra(Momentum(k0, 0.0), n, t, NATURAL)
-        upper = nr._limit_spectra(Momentum(k0, 0.0), n, t, NATURAL, upper_only=True)
-        assert upper[0] == {key: v for key, v in full[0].items() if key != "closure"}
-
     @pytest.mark.parametrize("k0,sigma,box,n,t,params", [
         ((0.05, 0.0), None, None, 128, 10.0, NATURAL),
         ((0.03, 0.0), None, None, 128, 25.0, NATURAL),
@@ -522,9 +513,8 @@ class TestCompareLimit:
     def test_one_step_distance_matches_full_mesh(self, k0, sigma, box, n, t, params):
         """The quadrant sum is the distance of diag psi exp(i m c^2 t / hbar)
         from the Schrodinger spectrum, both formed on the n^2 mesh."""
-        inputs = nr._limit_inputs(Momentum(*k0), n, t, params, sigma, box)
-        grid = nr.Grid2D(n, inputs["box"])
-        packet = nr.build_gaussian(grid, (0.0, 0.0), Momentum(*k0), inputs["sigma"])
+        grid, sigma, spectra = nr._packet(Momentum(*k0), n, sigma, box)
+        packet = nr.build_gaussian(grid, (0.0, 0.0), Momentum(*k0), sigma)
         psi = np.fft.fft2(packet.data, norm="ortho")
         kx, ky = grid.wavenumbers()
         k2 = kx**2 + ky**2
@@ -533,49 +523,35 @@ class TestCompareLimit:
         diag = np.cos(theta) - 1j * np.sin(theta) * params.rest_energy / energy
         upper = diag * psi * np.exp(1j * params.rest_energy * t / params.hbar)
         schrod = psi * np.exp(-1j * params.hbar * k2 * t / (2.0 * params.m))
-        spectra = [np.fft.fft(f, norm="ortho")
-                   for f in nr._gaussian_factors(grid, (0.0, 0.0), Momentum(*k0),
-                                                 inputs["sigma"])]
-        assert nr._one_step_distance(grid, params, spectra, t) == pytest.approx(
+        quadrant = nr._propagator_quadrant(grid, params, t)[1]
+        assert nr._one_step_distance(grid, params, spectra, quadrant, t) == pytest.approx(
             nr._relative_distance(upper, schrod), rel=1e-12, abs=0.0)
 
-    def test_upper_only_run_builds_no_mesh_array(self):
-        """An upper-only run at n = 512 peaks below two complex n^2 arrays
-        (it needs none; the mesh path held about 4.5)."""
+    def test_scaling_study_builds_no_mesh_array(self):
+        """The scaling study at n = 512 peaks below two complex n^2 arrays:
+        it reads only quadrant sums."""
         n = 512
         tracemalloc.start()
         try:
-            nr._limit_spectra(Momentum(0.05, 0.0), n, 10.0, NATURAL, upper_only=True)
+            nr.limit_scaling_study([0.025, 0.05, 0.1], n=n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 * 16 * n * n
 
-    def test_upper_only_takes_one_step(self):
-        with pytest.raises(ValueError, match="one step"):
-            nr._limit_spectra(Momentum(0.05, 0.0), 128, 1.0, NATURAL, steps=2,
-                              upper_only=True)
-
-    def test_scaling_study_uses_known_runs(self, monkeypatch):
-        """A known run is used, and not repeated, only when its resolved
-        inputs equal the study run's; a run at other inputs is ignored."""
-        run = nr.run_limit_comparison(0.05, n=128, t_final=10.0)
-        others = [nr.run_limit_comparison(0.05, n=128, t_final=10.0, steps=2),
-                  nr.run_limit_comparison(0.05, n=128, t_final=10.0, sigma=90.0)]
-        fresh = nr.limit_scaling_study([0.025, 0.05, 0.1], n=128, t_final=10.0)
-        calls = []
-        spectra = nr._limit_spectra
-        monkeypatch.setattr(nr, "_limit_spectra",
-                            lambda k0, *a, **kw: calls.append(k0.kx) or spectra(k0, *a, **kw))
-        reused = nr.limit_scaling_study([0.025, 0.05, 0.1], n=128, t_final=10.0,
-                                        known=[*others, run])
-        assert calls == [0.025, 0.1]
-        assert reused == fresh
-        calls.clear()
-        ignored = nr.limit_scaling_study([0.025, 0.05, 0.1], n=128, t_final=10.0,
-                                         known=others)
-        assert calls == [0.025, 0.05, 0.1]
-        assert ignored == fresh
+    def test_main_run_peak(self):
+        """A one-step main run at n = 512 peaks at seven complex n^2 arrays,
+        set by the inverse FFT of the spinor: the propagator quadrant and the
+        kinetic phase are freed by then, and the spinor is built with no
+        temporaries."""
+        n = 512
+        tracemalloc.start()
+        try:
+            nr.run_limit_comparison(0.05, n=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.25 * 16 * n * n
 
     def test_distance_is_dimensionless(self):
         """The same v/c and the same time in rest-energy units must give the
