@@ -117,6 +117,12 @@ def boundary_density(f: WaveField) -> float:
     return float(edge / dens.max())
 
 
+def _separable_boundary_density(fx: np.ndarray, fy: np.ndarray) -> float:
+    """boundary_density of the scalar field outer(fx, fy): each of its edge
+    rows and columns, and its peak, is a product of the two 1-D |f|^2."""
+    return float(max(max(d[0], d[-1]) / d.max() for d in (np.abs(fx) ** 2, np.abs(fy) ** 2)))
+
+
 def _mode_terms(grid: Grid2D, params: PhysicalParams):
     """Per-mode terms of H(k) = [[m c^2, i conj(p)], [-i p, -m c^2]].
 
@@ -307,15 +313,11 @@ def remove_rest_phase(f: WaveField, t: float, params: PhysicalParams = NATURAL_U
 
 def _kinetic_phase(grid: Grid2D, params: PhysicalParams, dt: float,
                    modes: int = None) -> np.ndarray:
-    """exp(-i hbar |k|^2 dt / 2m) per mode, on the first modes FFT indices of
-    each axis (all n by default).
-
-    The phase of |k|^2 = kx^2 + ky^2 factors, so this is the outer product
-    of one phase per axis: n exponentials, not n^2.
-    """
+    """exp(-i hbar k^2 dt / 2m) on the first modes FFT indices of one axis (all
+    n by default).  The phase of |k|^2 = kx^2 + ky^2 factors, so that of mode
+    (j, l) is the outer product of this with itself: n exponentials, not n^2."""
     k = grid.wavenumber_axis()[:modes]
-    phase = np.exp(-1j * (params.hbar * k**2 / (2.0 * params.m)) * dt)
-    return np.multiply.outer(phase, phase)
+    return np.exp(-1j * (params.hbar * k**2 / (2.0 * params.m)) * dt)
 
 
 def evolve_schrodinger(f: WaveField, t: float, params: PhysicalParams = NATURAL_UNITS,
@@ -360,7 +362,8 @@ def evolve_schrodinger(f: WaveField, t: float, params: PhysicalParams = NATURAL_
         raise GridResolutionError(
             "potential phase per step exceeds pi; increase steps"
         )
-    kin_phase = _kinetic_phase(f.grid, params, dt)
+    phase = _kinetic_phase(f.grid, params, dt)
+    kin_phase = np.multiply.outer(phase, phase)
     half_pot = np.exp(-0.5j * scalar * dt)
     data = f.data * half_pot
     for step in range(steps):
@@ -372,8 +375,11 @@ def evolve_schrodinger(f: WaveField, t: float, params: PhysicalParams = NATURAL_
 
 
 def _relative_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """||a - b|| / ||b|| in the l2 norm; the same on unitary spectra (Parseval)."""
-    return float(np.sqrt(np.sum(np.abs(a - b) ** 2) / np.sum(np.abs(b) ** 2)))
+    """||a - b|| / ||b|| for (n, n) arrays; the same on unitary spectra (Parseval).
+    einsum sums re^2 + im^2 with no complex hypot and no temporary but a - b."""
+    sq = [np.einsum("ij,ij->", x.real, x.real) + np.einsum("ij,ij->", x.imag, x.imag)
+          for x in (a - b, b)]
+    return float(np.sqrt(sq[0] / sq[1]))
 
 
 def _one_step_distance(grid: Grid2D, params: PhysicalParams, spectra, diag: np.ndarray,
@@ -388,7 +394,8 @@ def _one_step_distance(grid: Grid2D, params: PhysicalParams, spectra, diag: np.n
     alone, and fftfreq gives k[n - j] = -k[j] exactly, so the sums fold onto
     j, l <= n/2 bit for bit.
     """
-    gap = diag * _rest_phase(params, t) - _kinetic_phase(grid, params, t, grid.n // 2 + 1)
+    phase = _kinetic_phase(grid, params, t, grid.n // 2 + 1)
+    gap = diag * _rest_phase(params, t) - np.multiply.outer(phase, phase)
     weight = np.multiply.outer(*_folded_weights(spectra))
     return float(np.sqrt(np.sum(weight * (gap.real**2 + gap.imag**2)) / np.sum(weight)))
 
@@ -440,9 +447,10 @@ def run_limit_comparison(k0x: float, k0y: float = 0.0, n: int = 128,
     (free evolution is step-count independent; this exercises the group
     property), the first step from (psi, 0) in closed form, and the
     rest-mass phase is removed.  A one-step run takes its distance from
-    _one_step_distance.  "closure" is _closure_ratio of the packet.  Only
-    the final fields return to real space, for the boundary density and
-    keep_fields.
+    _one_step_distance.  "closure" is _closure_ratio of the packet.  The
+    spinor is the one n^2 array kept: the Schrodinger field stays two 1-D
+    factors until a longer run's distance or keep_fields needs the mesh.
+    Only the final fields return to real space, the spinor in place.
     """
     if steps is not None and steps < 1:
         raise ValueError("steps must be >= 1")
@@ -453,39 +461,38 @@ def run_limit_comparison(k0x: float, k0y: float = 0.0, n: int = 128,
            "sigma": sigma, "box": grid.length,
            # Before any n^2 array exists, so the quadrant sums add nothing to the peak.
            "closure": _closure_ratio(grid, params, spectra)}
-    # The unitary DFT keeps the norm, so this normalizes the packet.
-    schrod = np.multiply.outer(*spectra)
-    schrod /= WaveField(grid, schrod).norm
+    # Unitary DFTs keep the norm, and an outer product's is its factors' product.
+    schrod = [f / np.sqrt(np.sum(np.abs(f) ** 2) * grid.spacing) for f in spectra]
 
     dt = t_final / steps
     quadrant = _propagator_quadrant(grid, params, dt)
     diag, off = _dirac_propagator(*quadrant)
-    # Only a one-step run reads the quadrant again, for its distance; a longer
-    # run frees it before stepping: a lower peak.
+    # Only a one-step run reads the quadrant again; a longer one frees it first.
     one_step_diag = quadrant[1] if steps == 1 else None
     del quadrant
     dirac = np.empty((2, n, n), dtype=complex)
-    np.multiply(diag, schrod, out=dirac[0])
-    np.negative(np.multiply(off, schrod, out=dirac[1]), out=dirac[1])
+    np.multiply.outer(*schrod, out=dirac[0])
+    np.negative(np.multiply(off, dirac[0], out=dirac[1]), out=dirac[1])
+    np.multiply(diag, dirac[0], out=dirac[0])
     _dirac_step(dirac, diag, off, steps - 1)
-    del diag, off  # freed before the kinetic phase is built: a lower peak
-    kin_phase = _kinetic_phase(grid, params, dt)
-    for _ in range(steps):
-        schrod *= kin_phase
+    del diag, off  # freed before the distance: a lower peak
     dirac *= _rest_phase(params, t_final)
-    # Last: taken before the n^2 spectra, the sums raised peak RSS.
+    phase = _kinetic_phase(grid, params, dt)
+    for f in schrod * steps:  # the list repeated: each factor advances steps times
+        f *= phase
     out["distance"] = (_one_step_distance(grid, params, spectra, one_step_diag, t_final)
-                       if steps == 1 else _relative_distance(dirac[0], schrod))
-    del one_step_diag, kin_phase  # freed before the inverse FFTs: a lower peak
+                       if steps == 1 else
+                       _relative_distance(dirac[0], np.multiply.outer(*schrod)))
 
-    dirac_t = WaveField(grid, np.fft.ifft2(dirac, norm="ortho"), gauge_frame=True,
-                        time=t_final)
-    del dirac  # freed before the Schrodinger field is built: a lower peak
-    schrod_t = WaveField(grid, np.fft.ifft2(schrod, norm="ortho"), time=t_final)
-    out["boundary_density"] = max(boundary_density(dirac_t), boundary_density(schrod_t))
+    # Not ifft2(dirac, out=dirac): under numpy 2.4 that returns wrong values.
+    for axis in (-1, -2):
+        np.fft.ifft(dirac, axis=axis, norm="ortho", out=dirac)
+    dirac_t = WaveField(grid, dirac, gauge_frame=True, time=t_final)
+    schrod = [np.fft.ifft(f, norm="ortho") for f in schrod]
+    out["boundary_density"] = max(boundary_density(dirac_t), _separable_boundary_density(*schrod))
     if keep_fields:
         out["dirac_field"] = dirac_t
-        out["schrodinger_field"] = schrod_t
+        out["schrodinger_field"] = WaveField(grid, np.multiply.outer(*schrod), time=t_final)
     return out
 
 

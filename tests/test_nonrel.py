@@ -409,7 +409,8 @@ class TestSchrodingerEvolution:
         grid = nr.Grid2D(n, length)
         kx, ky = grid.wavenumbers()
         phi = params.hbar * (kx**2 + ky**2) / (2.0 * params.m) * dt
-        separable = nr._kinetic_phase(grid, params, dt)
+        phase = nr._kinetic_phase(grid, params, dt)
+        separable = np.multiply.outer(phase, phase)
         bound = 4.0 * np.finfo(float).eps * (1.0 + np.abs(phi).max())
         assert np.abs(separable - np.exp(-1j * phi)).max() <= bound
 
@@ -539,19 +540,81 @@ class TestCompareLimit:
             tracemalloc.stop()
         assert peak < 2 * 16 * n * n
 
-    def test_main_run_peak(self):
-        """A one-step main run at n = 512 peaks at seven complex n^2 arrays,
-        set by the inverse FFT of the spinor: the propagator quadrant and the
-        kinetic phase are freed by then, and the spinor is built with no
-        temporaries."""
-        n = 512
+    @staticmethod
+    def _traced_peak(**kwargs):
         tracemalloc.start()
         try:
-            nr.run_limit_comparison(0.05, n=n)
-            peak = tracemalloc.get_traced_memory()[1]
+            nr.run_limit_comparison(0.05, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 7.25 * 16 * n * n
+
+    def test_main_run_peak(self):
+        """A one-step main run at n = 512 peaks below 4.5 complex n^2 arrays
+        (4.3 measured), set while the spinor (two arrays) and U's diag and off
+        meshes (two) are alive.  The spinor is built with no temporaries and
+        returns to real space in place, and the Schrodinger field stays two
+        1-D factors, so nothing later adds to that."""
+        n = 512
+        assert self._traced_peak(n=n) < 4.5 * 16 * n * n
+
+    def test_stepped_run_peak(self):
+        """A two-step main run at n = 512 peaks below 8.25 complex n^2 arrays
+        (8.0 measured), set in _dirac_step: the spinor, U's two meshes and the
+        step's four temporaries."""
+        n = 512
+        assert self._traced_peak(n=n, steps=2) < 8.25 * 16 * n * n
+
+    def test_main_run_calls_no_ifft2(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ifft2 called")
+        monkeypatch.setattr(np.fft, "ifft2", refuse)
+        for steps in (1, 3):
+            nr.run_limit_comparison(0.05, n=128, steps=steps, keep_fields=True)
+
+    @pytest.mark.parametrize("steps", [1, 4])
+    @pytest.mark.parametrize("k0", [(0.05, 0.0), (0.03, 0.04)])
+    def test_kept_fields_match_public_api(self, k0, steps):
+        """keep_fields returns the real-space fields that the public calls
+        give: build_gaussian, chunked evolve_dirac and evolve_schrodinger,
+        remove_rest_phase."""
+        n, t = 128, 10.0
+        run = nr.run_limit_comparison(*k0, n=n, t_final=t, steps=steps, keep_fields=True)
+        sigma = 4.0 / Momentum(*k0).magnitude
+        grid = nr.Grid2D(n, 24.0 * sigma)
+        schrod = nr.build_gaussian(grid, (0.0, 0.0), Momentum(*k0), sigma)
+        dirac = nr.WaveField(grid, np.stack([schrod.data, np.zeros_like(schrod.data)]))
+        for _ in range(steps):
+            dirac = nr.evolve_dirac(dirac, t / steps, NATURAL)
+            schrod = nr.evolve_schrodinger(schrod, t / steps, NATURAL)
+        dirac = nr.remove_rest_phase(dirac, t, NATURAL)
+        for kept, public in ((run["dirac_field"], dirac), (run["schrodinger_field"], schrod)):
+            assert kept.grid == grid and kept.gauge_frame == public.gauge_frame
+            assert kept.time == pytest.approx(public.time, rel=1e-15)
+            peak = np.abs(public.data).max()
+            assert np.abs(kept.data - public.data).max() <= 1e-12 * peak
+
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (9.5, 0.0), (-3.0, 11.0)])
+    def test_separable_boundary_density(self, center):
+        """The boundary density read from two 1-D factors is that of their
+        outer product, for a centred packet and for shifted ones whose tails
+        wrap across the box edge."""
+        grid = nr.Grid2D(64, 24.0)
+        fx, fy = nr._gaussian_factors(grid, center, Momentum(0.3, -0.2), 1.5)
+        mesh = nr.boundary_density(nr.WaveField(grid, np.multiply.outer(fx, fy)))
+        assert (mesh < 1e-8) == (center == (0.0, 0.0))
+        assert nr._separable_boundary_density(fx, fy) == pytest.approx(mesh, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_per_axis_inverse_fft_in_place(self, n):
+        """The main run's inverse transform, one 1-D ifft per axis written back
+        into the spinor, is ifft2 bit for bit."""
+        rng = np.random.default_rng(n)
+        spinor = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+        reference = np.fft.ifft2(spinor, norm="ortho")
+        for axis in (-1, -2):
+            assert np.fft.ifft(spinor, axis=axis, norm="ortho", out=spinor) is spinor
+        assert np.array_equal(spinor, reference)
 
     def test_distance_is_dimensionless(self):
         """The same v/c and the same time in rest-energy units must give the
