@@ -262,31 +262,6 @@ def _propagator_quadrant(grid: Grid2D, params: PhysicalParams, t: float):
     return q, np.cos(theta) - 1j * sin_t * params.rest_energy, sin_t
 
 
-def _dirac_propagator(q: np.ndarray, diag: np.ndarray, sin_t: np.ndarray):
-    """(diag, off) per mode on the full mesh, with U(t) = exp(-i t H(k)/hbar) =
-    [[diag, conj(off)], [-off, conj(diag)]], from _propagator_quadrant."""
-    return _mirror(diag), _mirror(sin_t) * _momentum(q)
-
-
-def _dirac_step(spectrum: np.ndarray, diag: np.ndarray, off: np.ndarray,
-                steps: int = 1) -> None:
-    """Apply U (from _dirac_propagator) steps times to a (2, n, n) spectrum,
-    in place: up <- diag up + conj(off) low, low <- conj(diag) low - off up.
-    Each product keeps that operand order, since a complex product need not
-    round the same with its operands swapped."""
-    if steps < 1:
-        return
-    up, low = spectrum
-    diag_c, off_c = np.conj(diag), np.conj(off)
-    off_up, off_c_low = np.empty_like(up), np.empty_like(up)
-    for _ in range(steps):
-        np.multiply(off, up, out=off_up)
-        np.multiply(diag, up, out=up)
-        np.add(up, np.multiply(off_c, low, out=off_c_low), out=up)
-        np.multiply(diag_c, low, out=low)
-        np.subtract(low, off_up, out=low)
-
-
 def _rest_phase(params: PhysicalParams, t: float) -> complex:
     """exp(+i m c^2 t / hbar)."""
     return np.exp(1j * params.rest_energy * t / params.hbar)
@@ -298,9 +273,12 @@ def evolve_dirac(f: WaveField, t: float, params: PhysicalParams = NATURAL_UNITS)
         raise ValueError("evolve_dirac expects a 2-component field")
     if f.gauge_frame:
         raise GaugeFrameError("evolve_dirac expects a lab-frame field")
-    spectrum = np.fft.fft2(f.data, norm="ortho")
-    _dirac_step(spectrum, *_dirac_propagator(*_propagator_quadrant(f.grid, params, t)))
-    data = np.fft.ifft2(spectrum, norm="ortho")
+    q, diag, sin_t = _propagator_quadrant(f.grid, params, t)
+    # U(t) = [[diag, conj(off)], [-off, conj(diag)]] on the full mesh.
+    diag, off = _mirror(diag), _mirror(sin_t) * _momentum(q)
+    up, low = np.fft.fft2(f.data, norm="ortho")
+    data = np.fft.ifft2(np.stack([diag * up + np.conj(off) * low,
+                                  np.conj(diag) * low - off * up]), norm="ortho")
     return WaveField(f.grid, data, gauge_frame=False, time=f.time + t)
 
 
@@ -311,12 +289,11 @@ def remove_rest_phase(f: WaveField, t: float, params: PhysicalParams = NATURAL_U
     return replace(f, data=f.data * _rest_phase(params, t), gauge_frame=True)
 
 
-def _kinetic_phase(grid: Grid2D, params: PhysicalParams, dt: float,
-                   modes: int = None) -> np.ndarray:
-    """exp(-i hbar k^2 dt / 2m) on the first modes FFT indices of one axis (all
-    n by default).  The phase of |k|^2 = kx^2 + ky^2 factors, so that of mode
-    (j, l) is the outer product of this with itself: n exponentials, not n^2."""
-    k = grid.wavenumber_axis()[:modes]
+def _kinetic_phase(grid: Grid2D, params: PhysicalParams, dt: float) -> np.ndarray:
+    """exp(-i hbar k^2 dt / 2m) on the n FFT indices of one axis.  The phase
+    of |k|^2 = kx^2 + ky^2 factors, so that of mode (j, l) is the outer
+    product of this with itself: n exponentials, not n^2."""
+    k = grid.wavenumber_axis()
     return np.exp(-1j * (params.hbar * k**2 / (2.0 * params.m)) * dt)
 
 
@@ -382,20 +359,43 @@ def _relative_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(sq[0] / sq[1]))
 
 
-def _one_step_distance(grid: Grid2D, params: PhysicalParams, spectra, diag: np.ndarray,
-                       t: float) -> float:
-    """The gauge-frame distance one step of length t makes from (S, 0), S the
-    outer product of the 1-D spectra, summed over the quadrant; diag is
-    U(t)'s diagonal there (_propagator_quadrant).
+def _packet_coefficients(grid: Grid2D, params: PhysicalParams, t: float, steps: int = 1):
+    """U(dt) and the kinetic phase K(dt), dt = t/steps, applied steps times to
+    the packet (S, 0), mode by mode.
 
-    The step gives diag S exp(i m c^2 t/hbar) against S K_x K_y, so the
-    squared distance is the |S|^2-weighted mean of
-    |diag exp(i m c^2 t/hbar) - K_x K_y|^2.  That depends on kx^2 and ky^2
+    Every U keeps each mode in the form (upper S, -p lower S), with
+    upper' = diag upper - sin_t |p|^2 lower and
+    lower' = conj(diag) lower + sin_t upper, from upper = diag and
+    lower = sin_t after the first step (diag and sin_t of
+    _propagator_quadrant).  Both coefficients depend on kx^2 and ky^2 alone,
+    so they are carried on the quadrant of _mode_terms.  Returns q of
+    _mode_terms, upper, lower and K(dt)^steps on the n indices of one axis.
+    """
+    q, diag, sin_t = _propagator_quadrant(grid, params, t / steps)
+    half = q[: grid.n // 2 + 1] ** 2
+    sin_p2 = sin_t * np.add.outer(half, half)
+    upper, lower = diag, sin_t
+    kinetic = phase = _kinetic_phase(grid, params, t / steps)
+    for _ in range(steps - 1):
+        upper, lower = diag * upper - sin_p2 * lower, np.conj(diag) * lower + sin_t * upper
+        kinetic = kinetic * phase
+    return q, upper, lower, kinetic
+
+
+def _limit_distance(params: PhysicalParams, spectra, upper: np.ndarray,
+                    kinetic: np.ndarray, t: float) -> float:
+    """The gauge-frame distance of the Dirac upper component from the
+    Schrodinger field at time t, both started from S, the outer product of
+    the 1-D spectra; upper and kinetic are those of _packet_coefficients.
+
+    The upper component is upper S exp(i m c^2 t/hbar) against S K_x K_y,
+    so the squared distance is the |S|^2-weighted mean of
+    |upper exp(i m c^2 t/hbar) - K_x K_y|^2.  That depends on kx^2 and ky^2
     alone, and fftfreq gives k[n - j] = -k[j] exactly, so the sums fold onto
     j, l <= n/2 bit for bit.
     """
-    phase = _kinetic_phase(grid, params, t, grid.n // 2 + 1)
-    gap = diag * _rest_phase(params, t) - np.multiply.outer(phase, phase)
+    phase = kinetic[: len(upper)]
+    gap = upper * _rest_phase(params, t) - np.multiply.outer(phase, phase)
     weight = np.multiply.outer(*_folded_weights(spectra))
     return float(np.sqrt(np.sum(weight * (gap.real**2 + gap.imag**2)) / np.sum(weight)))
 
@@ -442,53 +442,47 @@ def run_limit_comparison(k0x: float, k0y: float = 0.0, n: int = 128,
 
     Geometry defaults scale with the packet (_packet), keeping the relative
     momentum spread fixed across scaling runs; "sigma" and "box" report the
-    values used.  The run stays on unitary spectra: U(dt) and the kinetic
-    phase for dt = t_final/steps are built once and applied steps times
-    (free evolution is step-count independent; this exercises the group
-    property), the first step from (psi, 0) in closed form, and the
-    rest-mass phase is removed.  A one-step run takes its distance from
-    _one_step_distance.  "closure" is _closure_ratio of the packet.  The
-    spinor is the one n^2 array kept: the Schrodinger field stays two 1-D
-    factors until a longer run's distance or keep_fields needs the mesh.
-    Only the final fields return to real space, the spinor in place.
+    values used.  The run stays on unitary spectra: _packet_coefficients
+    applies U(dt) and the kinetic phase for dt = t_final/steps steps times
+    on the quadrant (free evolution is step-count independent; this
+    exercises the group property), and _limit_distance takes the distance
+    there, with the rest-mass phase removed.  "closure" is _closure_ratio of
+    the packet.  The spinor is the one n^2 array kept, built once from the
+    coefficients: the Schrodinger field stays two 1-D factors unless
+    keep_fields needs the mesh.  Only the final fields return to real
+    space, the spinor in place.
     """
     if steps is not None and steps < 1:
         raise ValueError("steps must be >= 1")
     steps = steps or 1
     k0 = Momentum(k0x, k0y)
     grid, sigma, spectra = _packet(k0, n, sigma, box)
+    q, upper, lower, kinetic = _packet_coefficients(grid, params, t_final, steps)
+    # Before any n^2 array exists, so the quadrant sums add nothing to the peak.
     out = {"vc_scale": params.hbar * k0.magnitude / (params.m * params.c),
            "sigma": sigma, "box": grid.length,
-           # Before any n^2 array exists, so the quadrant sums add nothing to the peak.
-           "closure": _closure_ratio(grid, params, spectra)}
-    # Unitary DFTs keep the norm, and an outer product's is its factors' product.
-    schrod = [f / np.sqrt(np.sum(np.abs(f) ** 2) * grid.spacing) for f in spectra]
+           "closure": _closure_ratio(grid, params, spectra),
+           "distance": _limit_distance(params, spectra, upper, kinetic, t_final)}
 
-    dt = t_final / steps
-    quadrant = _propagator_quadrant(grid, params, dt)
-    diag, off = _dirac_propagator(*quadrant)
-    # Only a one-step run reads the quadrant again; a longer one frees it first.
-    one_step_diag = quadrant[1] if steps == 1 else None
-    del quadrant
+    # The Schrodinger spectrum; unitary DFTs keep the norm, and an outer
+    # product's is its factors' product.
+    schrod = [f / np.sqrt(np.sum(np.abs(f) ** 2) * grid.spacing) for f in spectra]
+    # p lower on the full mesh, formed before the spinor so that the
+    # temporaries of _mirror and the spinor are never alive together.
+    off = _momentum(q)
+    np.multiply(_mirror(lower), off, out=off)
     dirac = np.empty((2, n, n), dtype=complex)
     np.multiply.outer(*schrod, out=dirac[0])
     np.negative(np.multiply(off, dirac[0], out=dirac[1]), out=dirac[1])
-    np.multiply(diag, dirac[0], out=dirac[0])
-    _dirac_step(dirac, diag, off, steps - 1)
-    del diag, off  # freed before the distance: a lower peak
+    del off
+    np.multiply(_mirror(upper), dirac[0], out=dirac[0])
     dirac *= _rest_phase(params, t_final)
-    phase = _kinetic_phase(grid, params, dt)
-    for f in schrod * steps:  # the list repeated: each factor advances steps times
-        f *= phase
-    out["distance"] = (_one_step_distance(grid, params, spectra, one_step_diag, t_final)
-                       if steps == 1 else
-                       _relative_distance(dirac[0], np.multiply.outer(*schrod)))
 
     # Not ifft2(dirac, out=dirac): under numpy 2.4 that returns wrong values.
     for axis in (-1, -2):
         np.fft.ifft(dirac, axis=axis, norm="ortho", out=dirac)
     dirac_t = WaveField(grid, dirac, gauge_frame=True, time=t_final)
-    schrod = [np.fft.ifft(f, norm="ortho") for f in schrod]
+    schrod = [np.fft.ifft(f * kinetic, norm="ortho") for f in schrod]
     out["boundary_density"] = max(boundary_density(dirac_t), _separable_boundary_density(*schrod))
     if keep_fields:
         out["dirac_field"] = dirac_t
@@ -501,8 +495,8 @@ def limit_scaling_study(k0_values, n: int = 128, t_final: float = 10.0,
     """Distances at several velocity scales plus the fitted log-log slope.
 
     Each |k0| value runs at k0 = (|k0|, 0), the default geometry and one
-    step, and only its distance is read: the quadrant sum of
-    run_limit_comparison's one-step run, so no run builds an n^2 array.
+    step, and only its distance is read: _limit_distance of the
+    coefficients run_limit_comparison uses, so no run builds an n^2 array.
     When a distance is exactly 0 (the fields never moved apart, as at a
     subnormal t_final) there is nothing to fit: "slope" and "halving_ratios"
     are then None.
@@ -511,8 +505,8 @@ def limit_scaling_study(k0_values, n: int = 128, t_final: float = 10.0,
     distances = []
     for k0 in k0s:
         grid, _, spectra = _packet(k0, n)
-        diag = _propagator_quadrant(grid, params, t_final)[1]
-        distances.append(_one_step_distance(grid, params, spectra, diag, t_final))
+        _, upper, _, kinetic = _packet_coefficients(grid, params, t_final)
+        distances.append(_limit_distance(params, spectra, upper, kinetic, t_final))
     vcs = np.array([params.hbar * k0.magnitude / (params.m * params.c) for k0 in k0s])
     distances = np.array(distances)
     slope = ratios = None

@@ -511,22 +511,37 @@ class TestCompareLimit:
         # hbar k0 / m c = 0.1
         ((0.1 * 2.0 * 3.0 / 0.7, 0.0), None, None, 128, 10.0 * 0.7 / 18.0, SCALED),
     ])
-    def test_one_step_distance_matches_full_mesh(self, k0, sigma, box, n, t, params):
-        """The quadrant sum is the distance of diag psi exp(i m c^2 t / hbar)
-        from the Schrodinger spectrum, both formed on the n^2 mesh."""
+    @pytest.mark.parametrize("steps", [1, 4, 64])
+    def test_limit_distance_matches_full_mesh(self, k0, sigma, box, n, t, params, steps):
+        """The quadrant sum is the distance of the Dirac upper component,
+        rest-mass phase removed, from the Schrodinger spectrum, both formed
+        on the n^2 mesh by applying U(dt) and K(dt), dt = t/steps, steps
+        times to (psi, 0) and psi.  Each step past the first rounds the two
+        unit-norm computations apart by about eps, which is visible relative
+        to a small distance: at k0 = 0.03, t = 25 (near a zero of
+        sin(m c^2 t / hbar), distance 5.4e-5) and 64 steps, an extended-
+        precision run puts the two 6e-12 and 1.2e-11 relative from the exact
+        value.  So the bound adds (steps - 1) eps in absolute terms."""
         grid, sigma, spectra = nr._packet(Momentum(*k0), n, sigma, box)
         packet = nr.build_gaussian(grid, (0.0, 0.0), Momentum(*k0), sigma)
         psi = np.fft.fft2(packet.data, norm="ortho")
         kx, ky = grid.wavenumbers()
         k2 = kx**2 + ky**2
         energy = np.sqrt((params.c * params.hbar) ** 2 * k2 + params.rest_energy**2)
-        theta = energy * t / params.hbar
+        dt = t / steps
+        theta = energy * dt / params.hbar
         diag = np.cos(theta) - 1j * np.sin(theta) * params.rest_energy / energy
-        upper = diag * psi * np.exp(1j * params.rest_energy * t / params.hbar)
-        schrod = psi * np.exp(-1j * params.hbar * k2 * t / (2.0 * params.m))
-        quadrant = nr._propagator_quadrant(grid, params, t)[1]
-        assert nr._one_step_distance(grid, params, spectra, quadrant, t) == pytest.approx(
-            nr._relative_distance(upper, schrod), rel=1e-12, abs=0.0)
+        off = np.sin(theta) / energy * params.c * params.hbar * (kx + 1j * ky)
+        kinetic = np.exp(-1j * params.hbar * k2 * dt / (2.0 * params.m))
+        upper, lower, schrod = psi, np.zeros_like(psi), psi
+        for _ in range(steps):
+            upper, lower = diag * upper + np.conj(off) * lower, np.conj(diag) * lower - off * upper
+            schrod = schrod * kinetic
+        upper = upper * np.exp(1j * params.rest_energy * t / params.hbar)
+        _, coefficient, _, phase = nr._packet_coefficients(grid, params, t, steps)
+        assert nr._limit_distance(params, spectra, coefficient, phase, t) == pytest.approx(
+            nr._relative_distance(upper, schrod), rel=1e-12,
+            abs=(steps - 1) * np.finfo(float).eps)
 
     def test_scaling_study_builds_no_mesh_array(self):
         """The scaling study at n = 512 peaks below two complex n^2 arrays:
@@ -550,20 +565,24 @@ class TestCompareLimit:
             tracemalloc.stop()
 
     def test_main_run_peak(self):
-        """A one-step main run at n = 512 peaks below 4.5 complex n^2 arrays
-        (4.3 measured), set while the spinor (two arrays) and U's diag and off
-        meshes (two) are alive.  The spinor is built with no temporaries and
-        returns to real space in place, and the Schrodinger field stays two
-        1-D factors, so nothing later adds to that."""
+        """A one-step main run at n = 512 peaks below 4.25 complex n^2 arrays
+        (3.89 measured).  The spinor (two arrays) is built from the per-mode
+        coefficients with no temporaries but the full-mesh coefficients: the
+        peak is set while mirroring upper onto the mesh (one array and its
+        half-size intermediate), and boundary_density's |psi|^2 of the
+        spinor needs as much.  The distance is a quadrant sum taken before
+        any n^2 array exists, the spinor returns to real space in place, and
+        the Schrodinger field stays two 1-D factors."""
         n = 512
-        assert self._traced_peak(n=n) < 4.5 * 16 * n * n
+        assert self._traced_peak(n=n) < 4.25 * 16 * n * n
 
     def test_stepped_run_peak(self):
-        """A two-step main run at n = 512 peaks below 8.25 complex n^2 arrays
-        (8.0 measured), set in _dirac_step: the spinor, U's two meshes and the
-        step's four temporaries."""
+        """A two-step main run at n = 512 peaks below 4.25 complex n^2 arrays
+        (4.02 measured), at the same place as a one-step run: the steps run
+        on the quadrant, and the only addition is that the quadrant's lower
+        coefficient is complex (a quarter array) instead of real."""
         n = 512
-        assert self._traced_peak(n=n, steps=2) < 8.25 * 16 * n * n
+        assert self._traced_peak(n=n, steps=2) < 4.25 * 16 * n * n
 
     def test_main_run_calls_no_ifft2(self, monkeypatch):
         def refuse(*args, **kwargs):
