@@ -110,9 +110,9 @@ def overlap(a: WaveField, b: WaveField) -> complex:
 
 def boundary_density(f: WaveField) -> float:
     """Peak |psi|^2 on the outermost grid cells relative to the global peak."""
-    dens = np.abs(f.data) ** 2
-    if f.components == 2:
-        dens = dens.sum(axis=0)
+    dens = np.abs(f.component(0)) ** 2
+    if f.components == 2:  # one component at a time: no (2, n, n) temporary
+        dens += np.abs(f.data[1]) ** 2
     edge = max(dens[0, :].max(), dens[-1, :].max(), dens[:, 0].max(), dens[:, -1].max())
     return float(edge / dens.max())
 
@@ -127,14 +127,16 @@ def _mode_terms(grid: Grid2D, params: PhysicalParams):
     """Per-mode terms of H(k) = [[m c^2, i conj(p)], [-i p, -m c^2]].
 
     Returns q = c*hbar*k on one axis, so that mode (j, l) has
-    p = q[j] + i q[l] (see _momentum), and hbar*w(k) = sqrt(|p|^2 + (m c^2)^2)
-    on the modes j, l <= n/2 only.  The FFT index n - j holds -k[j] exactly
-    and w depends on kx^2 and ky^2 alone, so _mirror gives any function of w
-    on the full mesh, bit for bit, from a quarter of the work.
+    p = q[j] + i q[l] (see _momentum), and |p|^2 and
+    E = hbar*w(k) = sqrt(|p|^2 + (m c^2)^2) on the modes j, l <= n/2 only.
+    The FFT index n - j holds -k[j] exactly and both depend on kx^2 and ky^2
+    alone, so _mirror gives any function of them on the full mesh, bit for
+    bit, from a quarter of the work.
     """
     q = params.c * params.hbar * grid.wavenumber_axis()
     half = q[: grid.n // 2 + 1] ** 2
-    return q, np.sqrt(np.add.outer(half, half) + params.rest_energy**2)
+    p2 = np.add.outer(half, half)
+    return q, p2, np.sqrt(p2 + params.rest_energy**2)
 
 
 def _momentum(q: np.ndarray) -> np.ndarray:
@@ -152,7 +154,7 @@ def _mirror(quadrant: np.ndarray) -> np.ndarray:
 
 def _spinor_weights(grid: Grid2D, params: PhysicalParams):
     """G1 = -i p / (E + m c^2) and the metric divisor sqrt(1-|G1|^2) per mode."""
-    q, energy = _mode_terms(grid, params)
+    q, _, energy = _mode_terms(grid, params)
     g1 = -1j * _momentum(q) / _mirror(energy + params.rest_energy)
     return g1, np.sqrt(1.0 - np.abs(g1) ** 2)
 
@@ -186,23 +188,22 @@ def _folded_weights(spectra):
     return [np.bincount(fold, np.abs(f) ** 2) for f in spectra]
 
 
-def _closure_ratio(grid: Grid2D, params: PhysicalParams, spectra) -> float | None:
+def _closure_ratio(params: PhysicalParams, p2: np.ndarray, energy: np.ndarray,
+                   weights) -> float | None:
     """The small-component closure error of a positive-branch packet over
     its mean (hbar |k| / m c)^2, or None when it has no lower component.
 
-    spectra are the unitary DFTs of the packet's x and y factors, S their
-    outer product.  The packet is (S, G1 S) / divisor per mode, and the
-    closure error is ||(G1 - s) S / divisor|| / ||G1 S / divisor|| for the
-    estimate s = -i p / (2 m c^2).  Per mode |G1 / divisor|^2 =
+    S is the outer product of the packet's 1-D spectra, weights their
+    _folded_weights, and p2 = |p|^2 and energy = E the quadrant terms of
+    _mode_terms.  The packet is (S, G1 S) / divisor per mode, and the closure
+    error is ||(G1 - s) S / divisor|| / ||G1 S / divisor|| for the estimate
+    s = -i p / (2 m c^2).  Per mode |G1 / divisor|^2 =
     |p|^2 / (2 m c^2 (E + m c^2)) and |G1 - s| / |G1| = (E - m c^2) / (2 m c^2),
     with E - m c^2 = |p|^2 / (E + m c^2) free of cancellation.  Both depend
-    on kx^2 and ky^2 alone and |S|^2 separates, so the axis weights are
-    folded onto j <= n/2 and the sums run over the quadrant of _mode_terms.
+    on kx^2 and ky^2 alone and |S|^2 separates, so the sums run over the
+    quadrant.
     """
-    q, energy = _mode_terms(grid, params)
-    half = q[: grid.n // 2 + 1] ** 2
-    p2 = np.add.outer(half, half)
-    wx, wy = _folded_weights(spectra)
+    wx, wy = weights
     weight = np.multiply.outer(wx / np.sum(wx), wy / np.sum(wy))
     excess = p2 / (energy + params.rest_energy)  # E - m c^2
     lower = weight * excess  # proportional to |G1 S / divisor|^2
@@ -250,18 +251,6 @@ def negative_branch_weight(f: WaveField, params: PhysicalParams = NATURAL_UNITS)
     return float(np.sqrt(np.sum(np.abs(c_v) ** 2) / total))
 
 
-def _propagator_quadrant(grid: Grid2D, params: PhysicalParams, t: float):
-    """q of _mode_terms, and diag and sin(w t)/E of U(t) on its quadrant.
-
-    H(k) is Hermitian with H(k)^2 = E^2, E = hbar*w(k), so
-    U = cos(w t) - i sin(w t) H(k)/E: exactly unitary for any t.
-    """
-    q, energy = _mode_terms(grid, params)
-    theta = energy * t / params.hbar  # = w(k) t
-    sin_t = np.sin(theta) / energy
-    return q, np.cos(theta) - 1j * sin_t * params.rest_energy, sin_t
-
-
 def _rest_phase(params: PhysicalParams, t: float) -> complex:
     """exp(+i m c^2 t / hbar)."""
     return np.exp(1j * params.rest_energy * t / params.hbar)
@@ -273,7 +262,8 @@ def evolve_dirac(f: WaveField, t: float, params: PhysicalParams = NATURAL_UNITS)
         raise ValueError("evolve_dirac expects a 2-component field")
     if f.gauge_frame:
         raise GaugeFrameError("evolve_dirac expects a lab-frame field")
-    q, diag, sin_t = _propagator_quadrant(f.grid, params, t)
+    q, p2, energy = _mode_terms(f.grid, params)
+    diag, sin_t, _ = _packet_coefficients(f.grid, params, p2, energy, t)
     # U(t) = [[diag, conj(off)], [-off, conj(diag)]] on the full mesh.
     diag, off = _mirror(diag), _mirror(sin_t) * _momentum(q)
     up, low = np.fft.fft2(f.data, norm="ortho")
@@ -310,6 +300,8 @@ def evolve_schrodinger(f: WaveField, t: float, params: PhysicalParams = NATURAL_
     """
     if f.components != 1:
         raise ValueError("evolve_schrodinger expects a scalar field")
+    if steps is not None and steps < 1:
+        raise ValueError("steps must be >= 1")
     if a0 is None:
         a0, steps = 0.0, 1
     if np.iscomplexobj(a0):
@@ -331,8 +323,6 @@ def evolve_schrodinger(f: WaveField, t: float, params: PhysicalParams = NATURAL_
         return replace(f, data=f.data.copy())
     if steps is None:
         steps = 200
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     dt = t / steps
     scalar = params.e * params.c * a0 / params.hbar
     if np.abs(scalar).max() * abs(dt) > np.pi:
@@ -359,44 +349,49 @@ def _relative_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(sq[0] / sq[1]))
 
 
-def _packet_coefficients(grid: Grid2D, params: PhysicalParams, t: float, steps: int = 1):
+def _packet_coefficients(grid: Grid2D, params: PhysicalParams, p2: np.ndarray,
+                         energy: np.ndarray, t: float, steps: int = 1):
     """U(dt) and the kinetic phase K(dt), dt = t/steps, applied steps times to
-    the packet (S, 0), mode by mode.
+    the packet (S, 0), mode by mode, on the quadrant terms of _mode_terms.
 
-    Every U keeps each mode in the form (upper S, -p lower S), with
+    H(k) is Hermitian with H(k)^2 = E^2, so U(dt) = cos(w dt) - i sin(w dt)
+    H(k)/E is exactly unitary for any dt: [[diag, conj(p) sin_t],
+    [-p sin_t, conj(diag)]], sin_t = sin(w dt)/E, diag = cos(w dt) - i m c^2
+    sin_t.  Every U keeps each mode in the form (upper S, -p lower S), with
     upper' = diag upper - sin_t |p|^2 lower and
     lower' = conj(diag) lower + sin_t upper, from upper = diag and
-    lower = sin_t after the first step (diag and sin_t of
-    _propagator_quadrant).  Both coefficients depend on kx^2 and ky^2 alone,
-    so they are carried on the quadrant of _mode_terms.  Returns q of
-    _mode_terms, upper, lower and K(dt)^steps on the n indices of one axis.
+    lower = sin_t after the first step.  Returns upper, lower and
+    K(dt)^steps on the n indices of one axis.
     """
-    q, diag, sin_t = _propagator_quadrant(grid, params, t / steps)
-    half = q[: grid.n // 2 + 1] ** 2
-    sin_p2 = sin_t * np.add.outer(half, half)
+    dt = t / steps
+    theta = energy * dt / params.hbar  # = w(k) dt
+    sin_t = np.sin(theta) / energy
+    # cos into theta's buffer: one quadrant array fewer at the peak
+    diag = np.cos(theta, out=theta) - 1j * sin_t * params.rest_energy
     upper, lower = diag, sin_t
-    kinetic = phase = _kinetic_phase(grid, params, t / steps)
+    kinetic = phase = _kinetic_phase(grid, params, dt)
+    sin_p2 = sin_t * p2 if steps > 1 else None  # read past the first step only
     for _ in range(steps - 1):
         upper, lower = diag * upper - sin_p2 * lower, np.conj(diag) * lower + sin_t * upper
         kinetic = kinetic * phase
-    return q, upper, lower, kinetic
+    return upper, lower, kinetic
 
 
-def _limit_distance(params: PhysicalParams, spectra, upper: np.ndarray,
+def _limit_distance(params: PhysicalParams, weights, upper: np.ndarray,
                     kinetic: np.ndarray, t: float) -> float:
     """The gauge-frame distance of the Dirac upper component from the
     Schrodinger field at time t, both started from S, the outer product of
-    the 1-D spectra; upper and kinetic are those of _packet_coefficients.
+    the 1-D spectra; weights are their _folded_weights, and upper and
+    kinetic those of _packet_coefficients.
 
     The upper component is upper S exp(i m c^2 t/hbar) against S K_x K_y,
     so the squared distance is the |S|^2-weighted mean of
     |upper exp(i m c^2 t/hbar) - K_x K_y|^2.  That depends on kx^2 and ky^2
-    alone, and fftfreq gives k[n - j] = -k[j] exactly, so the sums fold onto
-    j, l <= n/2 bit for bit.
+    alone, so the sums run over the quadrant, bit for bit.
     """
     phase = kinetic[: len(upper)]
     gap = upper * _rest_phase(params, t) - np.multiply.outer(phase, phase)
-    weight = np.multiply.outer(*_folded_weights(spectra))
+    weight = np.multiply.outer(*weights)
     return float(np.sqrt(np.sum(weight * (gap.real**2 + gap.imag**2)) / np.sum(weight)))
 
 
@@ -443,26 +438,28 @@ def run_limit_comparison(k0x: float, k0y: float = 0.0, n: int = 128,
     Geometry defaults scale with the packet (_packet), keeping the relative
     momentum spread fixed across scaling runs; "sigma" and "box" report the
     values used.  The run stays on unitary spectra: _packet_coefficients
-    applies U(dt) and the kinetic phase for dt = t_final/steps steps times
-    on the quadrant (free evolution is step-count independent; this
-    exercises the group property), and _limit_distance takes the distance
-    there, with the rest-mass phase removed.  "closure" is _closure_ratio of
-    the packet.  The spinor is the one n^2 array kept, built once from the
-    coefficients: the Schrodinger field stays two 1-D factors unless
-    keep_fields needs the mesh.  Only the final fields return to real
-    space, the spinor in place.
+    applies U(dt) and K(dt), dt = t_final/steps, steps times on the
+    quadrant (free evolution is step-count independent; this exercises the
+    group property), and "distance" (_limit_distance) and "closure"
+    (_closure_ratio) are sums there.  The spinor is the one n^2 array kept,
+    built once from the coefficients: the Schrodinger field stays two 1-D
+    factors unless keep_fields needs the mesh.  Only the final fields return
+    to real space, the spinor in place.
     """
     if steps is not None and steps < 1:
         raise ValueError("steps must be >= 1")
     steps = steps or 1
     k0 = Momentum(k0x, k0y)
     grid, sigma, spectra = _packet(k0, n, sigma, box)
-    q, upper, lower, kinetic = _packet_coefficients(grid, params, t_final, steps)
-    # Before any n^2 array exists, so the quadrant sums add nothing to the peak.
+    q, p2, energy = _mode_terms(grid, params)
+    weights = _folded_weights(spectra)
+    upper, lower, kinetic = _packet_coefficients(grid, params, p2, energy, t_final, steps)
+    # Quadrant sums before any n^2 array exists; only the coefficients outlive them.
     out = {"vc_scale": params.hbar * k0.magnitude / (params.m * params.c),
            "sigma": sigma, "box": grid.length,
-           "closure": _closure_ratio(grid, params, spectra),
-           "distance": _limit_distance(params, spectra, upper, kinetic, t_final)}
+           "closure": _closure_ratio(params, p2, energy, weights),
+           "distance": _limit_distance(params, weights, upper, kinetic, t_final)}
+    del p2, energy, weights
 
     # The Schrodinger spectrum; unitary DFTs keep the norm, and an outer
     # product's is its factors' product.
@@ -505,8 +502,10 @@ def limit_scaling_study(k0_values, n: int = 128, t_final: float = 10.0,
     distances = []
     for k0 in k0s:
         grid, _, spectra = _packet(k0, n)
-        _, upper, _, kinetic = _packet_coefficients(grid, params, t_final)
-        distances.append(_limit_distance(params, spectra, upper, kinetic, t_final))
+        _, p2, energy = _mode_terms(grid, params)
+        upper, _, kinetic = _packet_coefficients(grid, params, p2, energy, t_final)
+        distances.append(_limit_distance(params, _folded_weights(spectra), upper, kinetic,
+                                         t_final))
     vcs = np.array([params.hbar * k0.magnitude / (params.m * params.c) for k0 in k0s])
     distances = np.array(distances)
     slope = ratios = None

@@ -122,15 +122,16 @@ class TestDiracEvolution:
 
     @pytest.mark.parametrize("n,length", [(8, 3.0), (64, 17.3), (256, 1920.0)])
     def test_mode_terms_equal_the_mesh_formulas(self, n, length):
-        """p from the axis momenta, and hbar w(k) from one quadrant mirrored
-        by index, equal c hbar (kx + i ky) and sqrt(|p|^2 + (m c^2)^2) on the
-        full mesh bit for bit."""
+        """p from the axis momenta, and |p|^2 and hbar w(k) from one quadrant
+        mirrored by index, equal c hbar (kx + i ky), its squared modulus and
+        sqrt(|p|^2 + (m c^2)^2) on the full mesh bit for bit."""
         grid = nr.Grid2D(n, length)
         params = PhysicalParams(m=2.0, c=3.0, hbar=0.5)
-        q, energy = nr._mode_terms(grid, params)
+        q, p2, energy = nr._mode_terms(grid, params)
         kx, ky = grid.wavenumbers()
         p = params.c * params.hbar * (kx + 1j * ky)
         assert np.array_equal(nr._momentum(q), p)
+        assert np.array_equal(nr._mirror(p2), p.real**2 + p.imag**2)
         assert np.array_equal(nr._mirror(energy),
                               np.sqrt(p.real**2 + p.imag**2 + params.rest_energy**2))
 
@@ -302,7 +303,9 @@ class TestSmallComponent:
             x, _ = grid.axes()
             spectra = [np.fft.fft(np.exp(1j * kx * x), norm="ortho"),
                        np.fft.fft(np.ones(n), norm="ortho")]
-            closure_error = nr._closure_ratio(grid, NATURAL, spectra) * kx**2
+            _, p2, energy = nr._mode_terms(grid, NATURAL)
+            weights = nr._folded_weights(spectra)
+            closure_error = nr._closure_ratio(NATURAL, p2, energy, weights) * kx**2
             assert closure_error == pytest.approx((np.sqrt(1.0 + kx**2) - 1.0) / 2.0,
                                                   rel=1e-12)
             assert closure_error < kx**2
@@ -433,6 +436,15 @@ class TestSchrodingerEvolution:
         with pytest.raises(ValueError, match="real-valued"):
             nr.evolve_schrodinger(f, 1.0, NATURAL, np.full((8, 8), 1j))
 
+    @pytest.mark.parametrize("a0", [None, 0.0])
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_nonpositive_steps_rejected(self, a0, steps):
+        """steps < 1 is refused with or without a potential: the free
+        default (a0 None, one step) must not overwrite it."""
+        f = nr.WaveField(nr.Grid2D(8, 5.0), np.ones((8, 8)))
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            nr.evolve_schrodinger(f, 1.0, NATURAL, a0, steps=steps)
+
 
 class TestCompareLimit:
     def test_rejects_mismatched_grids(self):
@@ -538,8 +550,11 @@ class TestCompareLimit:
             upper, lower = diag * upper + np.conj(off) * lower, np.conj(diag) * lower - off * upper
             schrod = schrod * kinetic
         upper = upper * np.exp(1j * params.rest_energy * t / params.hbar)
-        _, coefficient, _, phase = nr._packet_coefficients(grid, params, t, steps)
-        assert nr._limit_distance(params, spectra, coefficient, phase, t) == pytest.approx(
+        _, p2, quadrant_energy = nr._mode_terms(grid, params)
+        coefficient, _, phase = nr._packet_coefficients(grid, params, p2, quadrant_energy,
+                                                        t, steps)
+        weights = nr._folded_weights(spectra)
+        assert nr._limit_distance(params, weights, coefficient, phase, t) == pytest.approx(
             nr._relative_distance(upper, schrod), rel=1e-12,
             abs=(steps - 1) * np.finfo(float).eps)
 
