@@ -5,8 +5,9 @@ the parser, built once per process and shared, alone declares each flag and
 its default.  ``main`` echoes every parsed flag into the report and times the suite.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-precondition error (a non-finite float flag, or inputs whose arithmetic
-overflows, in Python or in numpy, count as misuse), 3 internal error (any
+precondition error (a non-finite float flag, inputs whose arithmetic
+overflows, in Python or in numpy, and inputs whose arrays do not fit in
+memory count as misuse), 3 internal error (any
 other exception; its traceback goes to stderr).  Human-readable tables go to
 stderr; with --json a single JSON document (the RunReport) is printed on
 stdout.
@@ -422,6 +423,10 @@ def main(argv=None) -> int:
         return 2
     except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
         print(f"error: inputs out of floating-point range ({exc})", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: inputs too large for the memory of this machine ({exc})",
+              file=sys.stderr)
         return 2
     except Exception:
         print(f"internal error:\n{traceback.format_exc()}", file=sys.stderr, end="")

@@ -108,13 +108,35 @@ def overlap(a: WaveField, b: WaveField) -> complex:
     return complex(np.sum(np.conj(a.data) * b.data) * a.grid.spacing**2)
 
 
+# Rows per block wherever an (n, n) mesh is built or read a block at a time:
+# 64 rows of n = 1024 complex samples are 1 MiB, small beside the mesh.
+_ROW_BLOCK = 64
+
+
+def _row_blocks(n: int):
+    """Slices of _ROW_BLOCK rows that cover 0..n-1 in order."""
+    return [slice(start, min(start + _ROW_BLOCK, n)) for start in range(0, n, _ROW_BLOCK)]
+
+
 def boundary_density(f: WaveField) -> float:
-    """Peak |psi|^2 on the outermost grid cells relative to the global peak."""
-    dens = np.abs(f.component(0)) ** 2
-    if f.components == 2:  # one component at a time: no (2, n, n) temporary
-        dens += np.abs(f.data[1]) ** 2
-    edge = max(dens[0, :].max(), dens[-1, :].max(), dens[:, 0].max(), dens[:, -1].max())
-    return float(edge / dens.max())
+    """Peak |psi|^2 on the outermost grid cells relative to the global peak.
+
+    |psi|^2 is formed one block of rows, and one component, at a time, so the
+    only temporaries are a block's.
+    """
+    n = f.grid.n
+    edge, peak = [], []
+    for rows in _row_blocks(n):
+        dens = np.abs(f.component(0)[rows]) ** 2
+        if f.components == 2:
+            dens += np.abs(f.data[1, rows]) ** 2
+        edge += [dens[:, 0].max(), dens[:, -1].max()]
+        if rows.start == 0:
+            edge.append(dens[0].max())
+        if rows.stop == n:
+            edge.append(dens[-1].max())
+        peak.append(dens.max())
+    return float(np.max(edge) / np.max(peak))
 
 
 def _separable_boundary_density(fx: np.ndarray, fy: np.ndarray) -> float:
@@ -139,17 +161,24 @@ def _mode_terms(grid: Grid2D, params: PhysicalParams):
     return q, p2, np.sqrt(p2 + params.rest_energy**2)
 
 
-def _momentum(q: np.ndarray) -> np.ndarray:
-    """p = c*hbar*(kx + i ky) on the full mesh, from q of _mode_terms."""
-    return np.add.outer(q, 1j * q)
+def _momentum(q: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """p = c*hbar*(kx + i ky) on the full mesh (its rows `rows` only), from q
+    of _mode_terms."""
+    return np.add.outer(q[rows], 1j * q)
 
 
-def _mirror(quadrant: np.ndarray) -> np.ndarray:
-    """The full (n, n) mesh of a per-mode quantity even in kx and in ky,
-    given on the (n/2 + 1)^2 modes with j, l <= n/2."""
-    n = 2 * (quadrant.shape[0] - 1)
-    index = np.minimum(np.arange(n), n - np.arange(n))
-    return quadrant.take(index, axis=0).take(index, axis=1)
+def _fold(n: int) -> np.ndarray:
+    """min(j, n - j) for the n FFT indices j: fftfreq gives k[n - j] = -k[j]
+    exactly, so index j holds the same k^2 as its fold <= n/2."""
+    j = np.arange(n)
+    return np.minimum(j, n - j)
+
+
+def _mirror(quadrant: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """The full (n, n) mesh (its rows `rows` only) of a per-mode quantity even
+    in kx and in ky, given on the (n/2 + 1)^2 modes with j, l <= n/2."""
+    index = _fold(2 * (quadrant.shape[0] - 1))
+    return quadrant.take(index[rows], axis=0).take(index, axis=1)
 
 
 def _spinor_weights(grid: Grid2D, params: PhysicalParams):
@@ -181,10 +210,8 @@ def _gaussian_factors(grid: Grid2D, center, k0: Momentum, sigma: float):
 
 
 def _folded_weights(spectra):
-    """|f|^2 of each 1-D spectrum f with index n - j added onto j <= n/2:
-    fftfreq gives k[n - j] = -k[j] exactly, so both hold the same k^2."""
-    n = len(spectra[0])
-    fold = np.minimum(np.arange(n), n - np.arange(n))
+    """|f|^2 of each 1-D spectrum f with index n - j added onto j <= n/2 (_fold)."""
+    fold = _fold(len(spectra[0]))
     return [np.bincount(fold, np.abs(f) ** 2) for f in spectra]
 
 
@@ -441,10 +468,13 @@ def run_limit_comparison(k0x: float, k0y: float = 0.0, n: int = 128,
     applies U(dt) and K(dt), dt = t_final/steps, steps times on the
     quadrant (free evolution is step-count independent; this exercises the
     group property), and "distance" (_limit_distance) and "closure"
-    (_closure_ratio) are sums there.  The spinor is the one n^2 array kept,
-    built once from the coefficients: the Schrodinger field stays two 1-D
-    factors unless keep_fields needs the mesh.  Only the final fields return
-    to real space, the spinor in place.
+    (_closure_ratio) are sums there.  The spinor is the one n^2 array kept:
+    it is built one block of rows at a time straight from the quadrant
+    coefficients and inverse-transformed along its rows while the block is
+    in cache, then along its columns in place, so the memory peak is the
+    spinor, the quadrant coefficients and one block.  The Schrodinger field
+    stays two 1-D factors unless keep_fields needs the mesh.  Only the final
+    fields return to real space.
     """
     if steps is not None and steps < 1:
         raise ValueError("steps must be >= 1")
@@ -464,20 +494,22 @@ def run_limit_comparison(k0x: float, k0y: float = 0.0, n: int = 128,
     # The Schrodinger spectrum; unitary DFTs keep the norm, and an outer
     # product's is its factors' product.
     schrod = [f / np.sqrt(np.sum(np.abs(f) ** 2) * grid.spacing) for f in spectra]
-    # p lower on the full mesh, formed before the spinor so that the
-    # temporaries of _mirror and the spinor are never alive together.
-    off = _momentum(q)
-    np.multiply(_mirror(lower), off, out=off)
-    dirac = np.empty((2, n, n), dtype=complex)
-    np.multiply.outer(*schrod, out=dirac[0])
-    np.negative(np.multiply(off, dirac[0], out=dirac[1]), out=dirac[1])
-    del off
-    np.multiply(_mirror(upper), dirac[0], out=dirac[0])
-    dirac *= _rest_phase(params, t_final)
-
+    # The spinor (upper S, -(lower p) S) exp(i m c^2 t/hbar), built a block of
+    # rows at a time from the quadrant and inverse-transformed along its rows
+    # while the block is in cache; the columns follow over the whole spinor.
     # Not ifft2(dirac, out=dirac): under numpy 2.4 that returns wrong values.
-    for axis in (-1, -2):
-        np.fft.ifft(dirac, axis=axis, norm="ortho", out=dirac)
+    rest = _rest_phase(params, t_final)
+    dirac = np.empty((2, n, n), dtype=complex)
+    for rows in _row_blocks(n):
+        block = dirac[:, rows]
+        np.multiply.outer(schrod[0][rows], schrod[1], out=block[0])
+        off = _momentum(q, rows)
+        np.multiply(_mirror(lower, rows), off, out=off)
+        np.negative(np.multiply(off, block[0], out=block[1]), out=block[1])
+        np.multiply(_mirror(upper, rows), block[0], out=block[0])
+        block *= rest
+        np.fft.ifft(block, axis=-1, norm="ortho", out=block)
+    np.fft.ifft(dirac, axis=-2, norm="ortho", out=dirac)
     dirac_t = WaveField(grid, dirac, gauge_frame=True, time=t_final)
     schrod = [np.fft.ifft(f * kinetic, norm="ortho") for f in schrod]
     out["boundary_density"] = max(boundary_density(dirac_t), _separable_boundary_density(*schrod))
@@ -813,18 +845,22 @@ def _bulk_levels(values: np.ndarray, mean_radius: np.ndarray, length: float,
 def export_csv(f: WaveField, path) -> None:
     """Write samples as CSV: x, y, re(psi1), im(psi1), re(psi2), im(psi2).
 
-    Scalar fields leave the psi2 columns zero.
+    Scalar fields leave the psi2 columns zero.  Rows are written one block
+    of grid rows at a time, so no (n^2, 6) table is built.
     """
-    x, y = f.grid.meshes()
-    first = f.component(0)
-    second = f.data[1] if f.components == 2 else np.zeros_like(first)
-    table = np.column_stack([
-        x.ravel(), y.ravel(),
-        first.real.ravel(), first.imag.ravel(),
-        second.real.ravel(), second.imag.ravel(),
-    ])
-    np.savetxt(path, table, delimiter=",",
-               header="x,y,re_psi1,im_psi1,re_psi2,im_psi2", comments="")
+    x, y = f.grid.axes()
+    with open(path, "w") as fh:
+        fh.write("x,y,re_psi1,im_psi1,re_psi2,im_psi2\n")
+        for rows in _row_blocks(f.grid.n):
+            xs, ys = np.meshgrid(x[rows], y, indexing="ij")
+            first = f.component(0)[rows]
+            second = f.data[1, rows] if f.components == 2 else np.zeros_like(first)
+            table = np.column_stack([
+                xs.ravel(), ys.ravel(),
+                first.real.ravel(), first.imag.ravel(),
+                second.real.ravel(), second.imag.ravel(),
+            ])
+            np.savetxt(fh, table, delimiter=",")
 
 
 def export_raw(f: WaveField, path) -> None:
@@ -836,9 +872,9 @@ def export_raw(f: WaveField, path) -> None:
     grid and frame metadata.
     """
     path = str(path)
-    data = f.data if f.components == 2 else f.data[np.newaxis]
-    block = np.stack([data.real, data.imag], axis=-1).astype("<f8")
-    block.tofile(path)
+    # A complex sample is its real part then its imaginary part: "<c16" is
+    # the layout above, with no copy on a little-endian machine.
+    f.data.astype("<c16", copy=False).tofile(path)
     sidecar = {
         "grid_n": f.grid.n,
         "box_side": f.grid.length,

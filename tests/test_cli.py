@@ -119,6 +119,20 @@ class TestExitCodes:
         assert err.startswith("internal error:")
         assert "Traceback" in err and "RuntimeError: injected defect" in err
 
+    def test_memory_error_exits_two(self, capsys, monkeypatch):
+        """Inputs whose arrays do not fit in memory (evolve --grid 1048576
+        asks for 2 TiB) are misuse: exit 2 with a one-line error, no
+        traceback."""
+        def too_large(report, args):
+            raise MemoryError("Unable to allocate 2.00 TiB for an array")
+
+        monkeypatch.setattr(cli, "run_evolve", too_large)
+        code, out, err = run_main(["--json", "evolve"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err and "2.00 TiB" in err
+
     def test_degenerate_normalization_is_failed_check_not_crash(self, capsys):
         code, _, err = run_main(["spinor", "--kx", "1e13"], capsys)
         assert code == 1

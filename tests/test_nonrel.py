@@ -580,24 +580,26 @@ class TestCompareLimit:
             tracemalloc.stop()
 
     def test_main_run_peak(self):
-        """A one-step main run at n = 512 peaks below 4.25 complex n^2 arrays
-        (3.89 measured).  The spinor (two arrays) is built from the per-mode
-        coefficients with no temporaries but the full-mesh coefficients: the
-        peak is set while mirroring upper onto the mesh (one array and its
-        half-size intermediate), and boundary_density's |psi|^2 of the
-        spinor needs as much.  The distance is a quadrant sum taken before
-        any n^2 array exists, the spinor returns to real space in place, and
-        the Schrodinger field stays two 1-D factors."""
+        """A one-step main run at n = 512 peaks below 3.0 complex n^2 arrays
+        (2.71 measured): the spinor (two arrays), the quadrant coefficients
+        (upper complex, lower real: 3/8 of an array) and the temporaries of
+        one 64-row block (1/8 of the rows at n = 512).  The spinor is built
+        and inverse-transformed along its rows one block at a time straight
+        from the quadrant, its columns are transformed in place, and
+        boundary_density reads |psi|^2 a block at a time.  The distance is a
+        quadrant sum taken before any n^2 array exists, and the Schrodinger
+        field stays two 1-D factors."""
         n = 512
-        assert self._traced_peak(n=n) < 4.25 * 16 * n * n
+        assert self._traced_peak(n=n) < 3.0 * 16 * n * n
 
     def test_stepped_run_peak(self):
-        """A two-step main run at n = 512 peaks below 4.25 complex n^2 arrays
-        (4.02 measured), at the same place as a one-step run: the steps run
-        on the quadrant, and the only addition is that the quadrant's lower
-        coefficient is complex (a quarter array) instead of real."""
+        """A two-step main run at n = 512 peaks below 3.0 complex n^2 arrays
+        (2.83 measured), where a one-step run does: the spinor, the quadrant
+        coefficients and one row block.  The steps run on the quadrant, and
+        the only addition is that the quadrant's lower coefficient is
+        complex (a quarter array) instead of real."""
         n = 512
-        assert self._traced_peak(n=n, steps=2) < 4.25 * 16 * n * n
+        assert self._traced_peak(n=n, steps=2) < 3.0 * 16 * n * n
 
     def test_main_run_calls_no_ifft2(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -642,13 +644,37 @@ class TestCompareLimit:
     @pytest.mark.parametrize("n", [8, 64, 256])
     def test_per_axis_inverse_fft_in_place(self, n):
         """The main run's inverse transform, one 1-D ifft per axis written back
-        into the spinor, is ifft2 bit for bit."""
+        into the spinor, is ifft2 bit for bit: axis -1 of the whole spinor,
+        or of one row block at a time (_row_blocks) as the main run does,
+        then the whole of axis -2."""
         rng = np.random.default_rng(n)
         spinor = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
         reference = np.fft.ifft2(spinor, norm="ortho")
-        for axis in (-1, -2):
-            assert np.fft.ifft(spinor, axis=axis, norm="ortho", out=spinor) is spinor
-        assert np.array_equal(spinor, reference)
+        whole, blocked = spinor, spinor.copy()
+        for block in [whole] + [blocked[:, rows] for rows in nr._row_blocks(n)]:
+            assert np.fft.ifft(block, axis=-1, norm="ortho", out=block) is block
+        for result in (whole, blocked):
+            assert np.fft.ifft(result, axis=-2, norm="ortho", out=result) is result
+            assert np.array_equal(result, reference)
+
+    @pytest.mark.parametrize("components", [1, 2])
+    @pytest.mark.parametrize("n", [8, 128])
+    def test_boundary_density_matches_full_array(self, n, components):
+        """boundary_density, read one row block at a time, is the full-array
+        formula bit for bit: at n = 8 the field is one partial block, and at
+        n = 128 the edge maximum is on the last row, in the last block."""
+        rng = np.random.default_rng(n + components)
+        shape = (n, n) if components == 1 else (2, n, n)
+        data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        data[..., -1, n // 3] *= 8.0
+        data[..., n // 2, n // 2] *= 16.0
+        dens = np.abs(data) ** 2
+        if components == 2:
+            dens = dens.sum(axis=0)
+        edge = max(dens[0, :].max(), dens[-1, :].max(), dens[:, 0].max(), dens[:, -1].max())
+        assert edge == dens[-1, n // 3]
+        field = nr.WaveField(nr.Grid2D(n, 4.0), data)
+        assert nr.boundary_density(field) == float(edge / dens.max())
 
     def test_distance_is_dimensionless(self):
         """The same v/c and the same time in rest-energy units must give the
@@ -949,7 +975,46 @@ class TestLandauLevels:
             assert slope == pytest.approx(2.0, abs=0.3), (level, slope)
 
 
+def reference_export_csv(f, path):
+    """export_csv written from the full (n^2, 6) table at once: the byte
+    reference for the row-block writer."""
+    x, y = f.grid.meshes()
+    first = f.component(0)
+    second = f.data[1] if f.components == 2 else np.zeros_like(first)
+    table = np.column_stack([
+        x.ravel(), y.ravel(),
+        first.real.ravel(), first.imag.ravel(),
+        second.real.ravel(), second.imag.ravel(),
+    ])
+    np.savetxt(path, table, delimiter=",",
+               header="x,y,re_psi1,im_psi1,re_psi2,im_psi2", comments="")
+
+
+def reference_export_raw(f, path):
+    """export_raw's sample file written through a stacked (..., 2) float copy:
+    the byte reference for the copy-free writer."""
+    data = f.data if f.components == 2 else f.data[np.newaxis]
+    np.stack([data.real, data.imag], axis=-1).astype("<f8").tofile(path)
+
+
 class TestSnapshots:
+    @pytest.mark.parametrize("components", [1, 2])
+    @pytest.mark.parametrize("n", [8, 128])
+    def test_writers_match_reference_bytes(self, tmp_path, n, components):
+        """The CSV (one row block at a time) and the raw samples (no stacked
+        copy) are byte for byte what the whole-array writers give, signed
+        zeros and NaN included."""
+        rng = np.random.default_rng(n)
+        shape = (n, n) if components == 1 else (2, n, n)
+        data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        data[..., 0, 0] = complex(-0.0, np.nan)
+        f = nr.WaveField(nr.Grid2D(n, 4.0), data, gauge_frame=True, time=1.5)
+        for write, reference in ((nr.export_csv, reference_export_csv),
+                                 (nr.export_raw, reference_export_raw)):
+            write(f, tmp_path / "field")
+            reference(f, tmp_path / "reference")
+            assert (tmp_path / "field").read_bytes() == (tmp_path / "reference").read_bytes()
+
     def test_csv_schema(self, tmp_path):
         grid = nr.Grid2D(8, 4.0)
         f = nr.WaveField(grid, np.ones((2, 8, 8)) * (1 + 2j))
