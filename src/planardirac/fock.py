@@ -18,6 +18,7 @@ demonstrates by brute-force spatial integration.
 
 from __future__ import annotations
 
+import collections
 import functools
 import operator
 from dataclasses import dataclass, field
@@ -137,9 +138,6 @@ class FockOperator:
         other = self._coerce(other)
         return FockOperator(self.matrix - other.matrix, self.space)
 
-    def __neg__(self):
-        return FockOperator(-self.matrix, self.space)
-
     def __mul__(self, scalar):
         return FockOperator(self.matrix * scalar, self.space)
 
@@ -151,9 +149,6 @@ class FockOperator:
 
     def dagger(self) -> "FockOperator":
         return FockOperator(self.matrix.conj().T.tocsr(), self.space)
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
     def max_abs(self) -> float:
         return float(np.abs(self.matrix.data).max(initial=0.0))
@@ -176,7 +171,7 @@ class FockOperator:
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of a Hermitian operator (densifies; small spaces only)."""
-        return np.linalg.eigvalsh(self.to_dense())
+        return np.linalg.eigvalsh(self.matrix.toarray())
 
     def hermiticity_defect(self) -> float:
         return (self - self.dagger()).max_abs()
@@ -297,60 +292,41 @@ def build_space(modes: ModeSet) -> FockSpace:
     return FockSpace(modes)
 
 
-def verify_ccr(space: FockSpace) -> dict[str, float]:
+def verify_ccr(space: FockSpace) -> dict[tuple[str, str], float]:
     """Worst deviation of every anti-commutator family of the mode operators.
 
-    Same-species and cross-species anti-commutators of annihilators (and of
-    creators) vanish; the mixed families {b, d'} and {d, b'} vanish; and
-    {b(k), b'(k')} = {d(k), d'(k')} = delta_kk' * I in Kronecker form.  All
-    matrices involved are integer-valued, so deviations are exactly zero.
+    One pass over the Jordan-Wigner chain: {a_p, a_q} and {a'_p, a'_q} for
+    p <= q, and {a_p, a'_q} for every (p, q) with I subtracted at p = q, the
+    Kronecker form of {b(k), b'(k')} = {d(k), d'(k')} = delta_kk' * I; every
+    other anti-commutator vanishes.  Keys name the family by its two operator
+    kinds, "b" or "d" by chain position with "+" for a creator: ("b", "b"),
+    ("d", "d"), ("b", "d"), the same three with "+" on both, ("b", "d+"),
+    ("d", "b+"), ("b", "b+") and ("d", "d+").  All matrices involved are
+    integer-valued, so deviations are exactly zero.
     """
-    n = space.n_modes
-    b = [space.annihilation(ELECTRON, i) for i in range(n)]
-    d = [space.annihilation(POSITRON, i) for i in range(n)]
-    bd_ = [space.creation(ELECTRON, i) for i in range(n)]
-    dd_ = [space.creation(POSITRON, i) for i in range(n)]
+    kinds = ["b"] * space.n_modes + ["d"] * space.n_modes  # by chain position
+    lowering = [FockOperator(m, space) for m in space._lowering]
+    raising = [FockOperator(m, space) for m in space._raising]
     eye = space.identity()
-
-    unordered = [(i, j) for i in range(n) for j in range(i, n)]  # for one family with itself
-    ordered = [(i, j) for i in range(n) for j in range(n)]
-
-    def worst(x, y, pairs):
-        return max(anticommutator(x[i], y[j]).max_abs() for i, j in pairs)
-
-    def worst_delta(lowering, raising):
-        deviations = []
-        for i, j in ordered:
-            ac = anticommutator(lowering[i], raising[j])
-            deviations.append((ac - eye if i == j else ac).max_abs())
-        return max(deviations)
-
-    return {
-        "{b,b} = 0": worst(b, b, unordered),
-        "{d,d} = 0": worst(d, d, unordered),
-        "{b,d} = 0": worst(b, d, ordered),
-        "{b+,b+} = 0": worst(bd_, bd_, unordered),
-        "{d+,d+} = 0": worst(dd_, dd_, unordered),
-        "{b+,d+} = 0": worst(bd_, dd_, ordered),
-        "{b,d+} = 0": worst(b, dd_, ordered),
-        "{d,b+} = 0": worst(d, bd_, ordered),
-        "{b,b+} = delta": worst_delta(b, bd_),
-        "{d,d+} = delta": worst_delta(d, dd_),
-    }
-
-
-def _mode_energies(space: FockSpace) -> list[float]:
-    """hbar * w(k) of every mode, in mode order."""
-    return [space.params.hbar * space.modes.omega(i) for i in range(space.n_modes)]
+    deviations = collections.defaultdict(list)
+    for p, kind in enumerate(kinds):
+        for q in range(p, len(kinds)):
+            deviations[kind, kinds[q]].append(
+                anticommutator(lowering[p], lowering[q]).max_abs())
+            deviations[kind + "+", kinds[q] + "+"].append(
+                anticommutator(raising[p], raising[q]).max_abs())
+        for q, other in enumerate(kinds):
+            ac = anticommutator(lowering[p], raising[q])
+            deviations[kind, other + "+"].append((ac - eye if p == q else ac).max_abs())
+    return {family: max(values) for family, values in deviations.items()}
 
 
 def hamiltonian(space: FockSpace) -> FockOperator:
     """H = sum_k hbar*w(k) (b'b - d d'); Hermitian but unbounded below."""
-    out = space.zero()
-    for i, energy in enumerate(_mode_energies(space)):
-        out = out + energy * (space.creation(ELECTRON, i) @ space.annihilation(ELECTRON, i)
-                              - space.annihilation(POSITRON, i) @ space.creation(POSITRON, i))
-    return out
+    return sum(((space.params.hbar * space.modes.omega(i))
+                * (space.creation(ELECTRON, i) @ space.annihilation(ELECTRON, i)
+                   - space.annihilation(POSITRON, i) @ space.creation(POSITRON, i))
+                for i in range(space.n_modes)), space.zero())
 
 
 def normal_ordered_hamiltonian(space: FockSpace) -> FockOperator:
@@ -359,10 +335,9 @@ def normal_ordered_hamiltonian(space: FockSpace) -> FockOperator:
     Normal ordering drops the constant sum_k hbar*w(k), the Kronecker-form
     counterpart of the discarded zero-momentum delta.
     """
-    out = space.zero()
-    for i, energy in enumerate(_mode_energies(space)):
-        out = out + energy * (space.number(ELECTRON, i) + space.number(POSITRON, i))
-    return out
+    return sum(((space.params.hbar * space.modes.omega(i))
+                * (space.number(ELECTRON, i) + space.number(POSITRON, i))
+                for i in range(space.n_modes)), space.zero())
 
 
 def occupation_spectrum(space: FockSpace) -> np.ndarray:
@@ -533,28 +508,24 @@ def pair_number_operator(space: FockSpace, index: int, literal: bool = False) ->
 
 def total_pair_number(space: FockSpace) -> FockOperator:
     """Sum of the per-momentum pair counters over every mode."""
-    out = space.zero()
-    for i in range(space.n_modes):
-        out = out + pair_number_operator(space, i)
-    return out
+    return sum((pair_number_operator(space, i) for i in range(space.n_modes)), space.zero())
 
 
 def charge_operator(space: FockSpace) -> FockOperator:
     """Q = sum_k (b'b - d'd), electron number minus positron number."""
-    out = space.zero()
-    for i in range(space.n_modes):
-        out = out + space.number(ELECTRON, i) - space.number(POSITRON, i)
-    return out
+    return sum((space.number(ELECTRON, i) - space.number(POSITRON, i)
+                for i in range(space.n_modes)), space.zero())
 
 
-def pair_commutator_check(space: FockSpace, index: int, index_prime: int) -> dict[str, float]:
+def pair_commutator_check(space: FockSpace, index: int,
+                          index_prime: int) -> tuple[float, float]:
     """Bosonic character of the pair operators, exact finite-mode form.
 
     For matched momenta the exact identity is
     [P(k), P'(k)] = I - n_b(k) - n_d(-k); its vacuum expectation is 1, the
     Kronecker-delta reading of the bosonic commutation relation.  For distinct
     momenta the commutator vanishes identically.  Returns the deviation of
-    each statement.
+    each statement: (operator deviation, vacuum-expectation deviation).
     """
     p = pair_lowering(space, index)
     p_prime = pair_lowering(space, index_prime)
@@ -563,11 +534,5 @@ def pair_commutator_check(space: FockSpace, index: int, index_prime: int) -> dic
     if index == index_prime:
         partner = space.modes.partner_index(index)
         exact = space.identity() - space.number(ELECTRON, index) - space.number(POSITRON, partner)
-        return {
-            "[P,P+] = I - n_b - n_d (exact identity)": (comm - exact).max_abs(),
-            "<vac|[P,P+]|vac> = 1": abs(comm.expectation(vac) - 1.0),
-        }
-    return {
-        "[P(k),P+(k')] = 0 for k != k'": comm.max_abs(),
-        "<vac|[P(k),P+(k')]|vac> = 0": abs(comm.expectation(vac)),
-    }
+        return (comm - exact).max_abs(), abs(comm.expectation(vac) - 1.0)
+    return comm.max_abs(), abs(comm.expectation(vac))

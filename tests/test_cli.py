@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from planardirac import cli
+from planardirac import cli, fock
 from planardirac.reporting import RunReport
 
 
@@ -332,6 +332,27 @@ class TestFockReport:
         names = [c["name"] for c in json.loads(out)["checks"]]
         assert any("literal printed ordering" in n for n in names)
 
+    @pytest.mark.parametrize("flags, products", [
+        ("--modes 1", 70), ("--modes 2", 170), ("--modes 3", 269), ("--modes 4", 400),
+        ("--modes 5", 563), ("--modes 6", 758), ("--modes 2 --literal-68", 173)])
+    def test_operator_products_do_not_grow(self, flags, products, capsys, monkeypatch):
+        """A run makes at most 70, 170, 269, 400, 563 and 758 operator
+        products (FockOperator @) at M = 1..6, and 173 at M = 2 with
+        --literal-68.  Products are the suite's unit of work, so a refactor
+        that adds some shows here; the benchmark pins the M = 1 count, but
+        the benchmark is not part of this suite."""
+        calls = []
+        matmul = fock.FockOperator.__matmul__
+
+        def counted(self, other):
+            calls.append(None)
+            return matmul(self, other)
+
+        monkeypatch.setattr(fock.FockOperator, "__matmul__", counted)
+        code, _, _ = run_main(["fock", *flags.split()], capsys)
+        assert code == 0
+        assert len(calls) <= products
+
 
 class TestLandauReport:
     def test_inertia_check_alongside_unchanged_checks(self, capsys):
@@ -505,6 +526,23 @@ class TestEvolveCommand:
         measured = {c["name"]: c["measured"] for c in doc["checks"]}[
             "dirac vs schrodinger relative distance"]
         assert doc["parameters"]["scaling_distances"][1] == measured
+
+    def test_negative_time_runs_the_scaling_study(self, capsys):
+        """Reversing t conjugates every per-mode phase, so the study and the
+        main-run distance are the same quadrant sums bit for bit.  The
+        boundary density sits at its round-off floor, about 1e-30, where the
+        packet's direction of travel moves it; it only has to pass."""
+        checks = {}
+        for t_final in ("10", "-10"):
+            code, out, _ = run_main(["--json", "evolve", "--time", t_final], capsys)
+            assert code == 0
+            checks[t_final] = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert list(checks["-10"]) == list(checks["10"])
+        assert len(checks["-10"]) == 6
+        for name, check in checks["-10"].items():
+            assert check["passed"], name
+            if name != "boundary density":
+                assert check["measured"] == checks["10"][name]["measured"], name
 
     def test_snapshot_export(self, capsys, tmp_path):
         out_dir = tmp_path / "snaps"
