@@ -29,6 +29,10 @@ class GridResolutionError(ValueError):
     """Grid too coarse (or step too large) to resolve the requested physics."""
 
 
+class FieldWindowError(GridResolutionError):
+    """Magnetic length outside the window landau_levels solves at."""
+
+
 class GaugeFrameError(ValueError):
     """Rest-mass phase already removed (or required and absent)."""
 
@@ -598,28 +602,22 @@ def _rotation_orbits(n: int) -> np.ndarray:
     return np.array([np.rot90(cells, -r)[:n // 2, :n // 2].ravel() for r in range(4)])
 
 
-def _relative_difference(a: sparse.csr_matrix, b: sparse.csr_matrix) -> float:
-    """max|a - b| / max|b| of two sparse matrices of one shape."""
-    return float(np.abs((a - b).data).max(initial=0.0) / np.abs(b.data).max())
+def _symmetry_defects(ham: sparse.csr_matrix, orbits: np.ndarray) -> tuple:
+    """(max|R H - H R|, max|T H - H T|) / max|H| for the rotation R e_c = e_{Rc}
+    and the antiunitary T = K D, complex conjugation times the reflection
+    D e_(i,j) = e_(j,i).
 
-
-def _rotation_commutator(ham: sparse.csr_matrix, orbits: np.ndarray) -> float:
-    """max|R H - H R| / max|H| for the permutation R e_c = e_{Rc}.
-
-    R H - H R = R (H - R^T H R), and (R^T H R)[c, c'] = H[Rc, Rc'], so this
-    compares H with itself re-indexed by the rotation.
+    R H - H R = R (H - R^T H R) and (R^T H R)[c, c'] = H[Rc, Rc'], so the
+    first compares H with itself re-indexed by the rotation; the second
+    compares conj H with H re-indexed by D, as (T^-1 H T)[c, c'] = conj H[Dc, Dc'].
     """
-    rotate = np.empty(ham.shape[0], dtype=int)
+    n = math.isqrt(orbits.size)
+    rotate = np.empty(orbits.size, dtype=int)
     rotate[orbits] = np.roll(orbits, -1, axis=0)
-    return _relative_difference(ham[rotate][:, rotate], ham)
-
-
-def _reflection_defect(ham: sparse.csr_matrix, n: int) -> float:
-    """max|T H - H T| / max|H| for the antiunitary T = K D, complex
-    conjugation times the reflection D e_(i,j) = e_(j,i): it compares conj H
-    with H re-indexed by D, as (T^-1 H T)[c, c'] = conj H[Dc, Dc']."""
-    mirror = np.arange(n * n).reshape(n, n).T.ravel()
-    return _relative_difference(ham[mirror][:, mirror], ham.conj())
+    mirror = np.arange(orbits.size).reshape(n, n).T.ravel()
+    scale = np.abs(ham.data).max()
+    return tuple(float(np.abs((ham[p][:, p] - b).data).max(initial=0.0) / scale)
+                 for p, b in ((rotate, ham), (mirror, ham.conj())))
 
 
 def _sector_blocks(ham: sparse.csr_matrix, orbits: np.ndarray) -> list:
@@ -740,35 +738,27 @@ def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = NATURAL
     """Lowest Landau levels of the minimally coupled Schrodinger Hamiltonian.
 
     Assembles (1/2m)((-i hbar d_x + e Ax)^2 + (-i hbar d_y + e Ay)^2) in the
-    symmetric gauge with 5-point stencils on a Dirichlet box.  The Dirichlet
-    wall smears each degenerate level into a drift ladder of boundary-squeezed
-    states, so eigenstates are first filtered by compactness (mean radius
-    below COMPACT_RADIUS_FRACTION * L); the compact survivors bunch tightly at
-    each level and are gap-clustered.  Each level is reported at its most
-    compact member, the state least touched by the wall and the lattice.
-    Bulk levels should match hbar*w_c*(n + 1/2) with w_c = e B / m.
+    symmetric gauge with 5-point stencils on a Dirichlet box.  The wall smears
+    each level into a drift ladder, so only compact eigenstates (mean radius
+    at most COMPACT_RADIUS_FRACTION * L) are gap-clustered into levels, each
+    reported at its most compact member.  Bulk levels should match
+    hbar*w_c*(n + 1/2) with w_c = e B / m.
 
-    The symmetric-gauge square box is symmetric under the 90-degree rotation
-    R, so H splits into four blocks, one per eigenvalue i^m of R, each of a
-    quarter of the dimension.  H also commutes with T = K D, complex
-    conjugation times the reflection across the diagonal, which makes each
-    block real symmetric in the basis W (_reflection_basis).  _sector_lowest
-    solves the real blocks and certifies that their union holds the lowest
-    eigenvalues of H, at most 4 _sector_cap(n) - 1 of them, so a larger k is
-    refused before any solve.
-    "commutator" is max|R H - H R| / max|H| and "reflection" is
-    max|T H - H T| / max|H|.  The real blocks are valid only when both are 0;
-    otherwise no block is solved and "levels", "relative_errors" and
-    "below_shift" are None.  All four orbit cells, and q and Dq, lie at one
-    radius, so each state's mean radius comes from its orbit weights without
-    mapping it back to the grid.
+    Returns "expected", "magnetic_length", "commutator" and "reflection"
+    (max|R H - H R| and max|T H - H T| over max|H|, for the 90-degree
+    rotation R and T = K D, conjugation times the diagonal reflection), and
+    "levels", "relative_errors" and "below_shift" (the eigenvalues at or
+    below the solve's shift; 0 proves the lowest states were found, None when
+    a factorization cannot tell).  The C4 sectors are solved as real blocks
+    (_sector_lowest) only when both symmetry defects are 0; otherwise the
+    last three are None.
 
-    The operator is non-negative with its lowest level at hbar*w_c/2, so each
-    block is shifted and inverted at 0, below the spectrum in any units.
-    "below_shift" is the number of eigenvalues at or below that shift, summed
-    over the blocks and read off their factorizations (0 proves the solves
-    returned the lowest states; see _lowest_eigenpairs), or None when a
-    factorization cannot tell.
+    Raises FieldWindowError, before any assembly, when the magnetic length
+    sqrt(hbar/(e B)) lies outside [MAGNETIC_LENGTH_SPACINGS * h,
+    L / MAGNETIC_LENGTH_BOX_DIVISOR], grid spacing h and box side L; a
+    caller tries a field by calling this.  Raises GridResolutionError when
+    n_levels needs more eigenpairs than the sector solve certifies (refused
+    before any solve) or fewer bulk levels are found.
     """
     if b_field <= 0:
         raise ValueError("magnetic field strength must be positive")
@@ -779,7 +769,7 @@ def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = NATURAL
     lowest = MAGNETIC_LENGTH_SPACINGS * h
     highest = grid.length / MAGNETIC_LENGTH_BOX_DIVISOR
     if magnetic_length < lowest or magnetic_length > highest:
-        raise GridResolutionError(
+        raise FieldWindowError(
             f"magnetic length {magnetic_length:.4g} outside "
             f"[{MAGNETIC_LENGTH_SPACINGS:g}h = {lowest:.4g}, "
             f"L/{MAGNETIC_LENGTH_BOX_DIVISOR:g} = {highest:.4g}]"
@@ -796,13 +786,14 @@ def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = NATURAL
     orbits = _rotation_orbits(n)
     cyclotron = params.e * b_field / params.m
     expected = [params.hbar * cyclotron * (j + 0.5) for j in range(n_levels)]
+    commutator, reflection = _symmetry_defects(ham, orbits)
     out = {
         "expected": expected,
         "magnetic_length": float(magnetic_length),
-        "commutator": _rotation_commutator(ham, orbits),
-        "reflection": _reflection_defect(ham, n),
+        "commutator": commutator,
+        "reflection": reflection,
     }
-    if out["commutator"] != 0.0 or out["reflection"] != 0.0:
+    if commutator != 0.0 or reflection != 0.0:
         return out | {"levels": None, "relative_errors": None, "below_shift": None}
 
     values, weights, below_shift = _sector_lowest(ham, orbits, k, -(-k // 4) + 6)

@@ -355,6 +355,15 @@ class TestFockReport:
 
 
 class TestLandauReport:
+    @pytest.fixture
+    def requested(self, monkeypatch):
+        """The k of each nonrel.eigsh call the test makes, in call order."""
+        requested = []
+        eigsh = cli.nonrel.eigsh
+        monkeypatch.setattr(cli.nonrel, "eigsh",
+                            lambda *a, **kw: requested.append(kw["k"]) or eigsh(*a, **kw))
+        return requested
+
     def test_inertia_check_alongside_unchanged_checks(self, capsys):
         code, out, _ = run_main(["--json", "landau", "--grid", "32"], capsys)
         assert code == 0
@@ -403,7 +412,8 @@ class TestLandauReport:
             ("K·D symmetry of the C4 blocks", False)]
         assert checks[0]["measured"] > 0.0 and checks[1]["measured"] > 0.0
 
-    def test_potential_odd_under_reflection_fails_kd_check(self, capsys, monkeypatch):
+    def test_potential_odd_under_reflection_fails_kd_check(self, capsys, monkeypatch,
+                                                             requested):
         """A real diagonal eps r^2 sin(4 theta) = 4 eps x y (x^2 - y^2) / r^2 is
         C4-symmetric but odd under the diagonal reflection D: R still commutes
         with H exactly, the K*D check fails, no block is solved, and the run
@@ -417,10 +427,6 @@ class TestLandauReport:
             odd = 1e-6 * 4.0 * x * y * (x * x - y * y) / (x * x + y * y)
             return (symmetric(b_field, grid, params) + sparse.diags(odd.ravel())).tocsr()
 
-        requested = []
-        eigsh = nonrel.eigsh
-        monkeypatch.setattr(nonrel, "eigsh",
-                            lambda *a, **kw: requested.append(kw["k"]) or eigsh(*a, **kw))
         monkeypatch.setattr(nonrel, "_landau_hamiltonian", odd_under_reflection)
         code, out, err = run_main(["--json", "landau", "--grid", "32"], capsys)
         assert code == 1
@@ -440,16 +446,12 @@ class TestLandauReport:
         pytest.param(["--B", "0.2821223263217904", "--levels", "48"], "48 levels need "
                      "k = 1017 eigenpairs, more than the n^2 - 9 = 1015", False, id="48"),
     ])
-    def test_too_many_levels_exit_two(self, args, message, solved, capsys, monkeypatch):
+    def test_too_many_levels_exit_two(self, args, message, solved, capsys, requested):
         """More levels than the grid-32 box holds is a usage error: found
         after the solve at 20 levels, and refused before any eigensolve where
         k exceeds the n*n - 9 values the four C4 blocks, at n*n/4 - 2 pairs
         each, can certify: k = 1221 at 64 levels, and k = 1017, just above
         that bound, at 48 levels in a stronger field."""
-        requested = []
-        eigsh = cli.nonrel.eigsh
-        monkeypatch.setattr(cli.nonrel, "eigsh",
-                            lambda *a, **kw: requested.append(kw["k"]) or eigsh(*a, **kw))
         code, _, err = run_main(["landau", "--grid", "32", *args], capsys)
         assert code == 2
         assert message in err
@@ -465,21 +467,79 @@ class TestLandauReport:
         assert "inertia unknown" in err
 
     def test_doubled_solve_follows_the_field_window(self, capsys, monkeypatch):
-        """The doubled-B solve runs only where landau_levels accepts 2B, and
-        both read the window from nonrel's constants.  At grid 64, box 20,
-        the default magnetic length 2 lies inside [5h, L/6] = [1.5625, 3.33]
-        but 2/sqrt(2) does not, so the report has no B-doubled check."""
+        """The doubled-B solve runs exactly where landau_levels accepts 2B:
+        only nonrel reads the window's constants, and cli tries 2B by calling
+        it.  At grid 64, box 20, the default magnetic length 2 lies inside
+        [5h, L/6] = [1.5625, 3.33] but 2/sqrt(2) does not, so the report has
+        no B-doubled check."""
         monkeypatch.setattr(cli.nonrel, "MAGNETIC_LENGTH_SPACINGS", 5.0)
         code, out, _ = run_main(["--json", "landau", "--grid", "64"], capsys)
         assert code == 0
         names = [c["name"] for c in json.loads(out)["checks"]]
         assert len(names) == 6 and not any("B doubled" in name for name in names)
-        with pytest.raises(cli.nonrel.GridResolutionError, match=r"\[5h = 1.562,"):
+        with pytest.raises(cli.nonrel.FieldWindowError, match=r"\[5h = 1.562,"):
             cli.nonrel.landau_levels(0.5, cli.nonrel.Grid2D(64, 20.0))
         monkeypatch.setattr(cli.nonrel, "MAGNETIC_LENGTH_BOX_DIVISOR", 12.0)
         code, _, err = run_main(["landau", "--grid", "64"], capsys)
         assert code == 2
         assert "magnetic length 2 outside [5h = 1.562, L/12 = 1.667]" in err
+
+    @pytest.mark.parametrize("box,b_field,checks", [
+        pytest.param("15.922340829493187", "0.224395229254035", 5, id="2B-refused"),
+        pytest.param("26.085288443203503", "0.08360575339369514", 11, id="2B-accepted"),
+    ])
+    def test_doubled_field_at_the_window_edge(self, box, b_field, checks, capsys):
+        """Where 2B puts the magnetic length at 3h to rounding, the report
+        follows landau_levels' own answer for 2B, not a second rounding of
+        the same length: the first refuses 2B and passes on the user's field
+        alone, and the second solves 2B and passes every check."""
+        code, out, _ = run_main(["--json", "landau", "--grid", "32", "--box", box,
+                                 "--B", b_field, "--levels", "2"], capsys)
+        assert code == 0
+        names = [c["name"] for c in json.loads(out)["checks"]]
+        assert len(names) == checks
+        assert any("B doubled" in name for name in names) == (checks == 11)
+
+    def test_doubled_checks_iff_window_accepts_2b(self, capsys):
+        """A nextafter sweep of B across the field whose 2B has magnetic
+        length exactly 3h at grid 32, box 20, two levels: every run passes,
+        and the report has B-doubled checks exactly where landau_levels(2B)
+        is not refused by the window.  The sweep holds both cases."""
+        grid = cli.nonrel.Grid2D(32, 20.0)
+        edge = 0.5 / (3.0 * grid.spacing) ** 2
+        fields = [edge]
+        for _ in range(3):
+            fields = [np.nextafter(fields[0], 0.0), *fields, np.nextafter(fields[-1], 1.0)]
+        seen = set()
+        for b_field in fields:
+            try:
+                cli.nonrel.landau_levels(2.0 * b_field, grid, n_levels=2)
+                accepted = True
+            except cli.nonrel.FieldWindowError:
+                accepted = False
+            seen.add(accepted)
+            code, out, _ = run_main(["--json", "landau", "--grid", "32", "--levels", "2",
+                                     "--B", repr(float(b_field))], capsys)
+            assert code == 0
+            names = [c["name"] for c in json.loads(out)["checks"]]
+            assert any("B doubled" in name for name in names) == accepted, b_field
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("args,calls,total_k", [
+        pytest.param(["--grid", "32"], 4, 92, id="32"),
+        pytest.param(["--grid", "64"], 8, 196, id="64"),
+        pytest.param(["--grid", "64", "--B", "0.5"], 8, 308, id="64-B0.5"),
+    ])
+    def test_eigensolves_do_not_grow(self, args, calls, total_k, capsys, requested):
+        """Upper bounds on the eigsh calls and their total k, at their
+        measured values: one solve per C4 sector per field, four at grid 32,
+        where the default magnetic length 2 over sqrt(2) is below 3h and 2B
+        is refused, and eight at grid 64, where 2B is solved too.  Grids 32
+        and 64 together are the benchmark's nonrel pass: 12 calls, k 288."""
+        code, _, _ = run_main(["landau", *args], capsys)
+        assert code in (0, 1)
+        assert len(requested) <= calls
+        assert sum(requested) <= total_k
 
 
 class TestEvolveCommand:

@@ -754,7 +754,7 @@ class TestLandauLevels:
         assert np.array_equal(x[::-1], -x)
         b_field = NATURAL.hbar / (NATURAL.e * (box / 10.0) ** 2)
         ham = nr._landau_hamiltonian(b_field, grid, NATURAL)
-        assert nr._rotation_commutator(ham, nr._rotation_orbits(n)) == 0.0
+        assert nr._symmetry_defects(ham, nr._rotation_orbits(n))[0] == 0.0
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_sector_blocks_are_projections(self, n):
@@ -802,7 +802,7 @@ class TestLandauLevels:
         W^H H_m W cancels exactly and its real part is symmetric."""
         orbits = nr._rotation_orbits(n)
         ham = nr._landau_hamiltonian(1.0, nr.Grid2D(n, 4.0), params)
-        assert nr._reflection_defect(ham, n) == 0.0
+        assert nr._symmetry_defects(ham, orbits)[1] == 0.0
         basis = nr._reflection_basis(n // 2)
         assert np.array_equal(basis.toarray(), self._reflection_basis(orbits, n))
         for sector in nr._sector_blocks(ham, orbits):
