@@ -36,14 +36,7 @@ from .planewave import (
     Momentum,
     PhysicalParams,
 )
-from .reporting import (
-    Check,
-    RunReport,
-    bound_check,
-    failed_check,
-    floor_check,
-    value_check,
-)
+from .reporting import RunReport, bound_check, failed_check, floor_check, value_check
 
 _K_COMMUTATOR_TABLE = {
     (1, 2): (-1j, 3), (2, 1): (1j, 3),
@@ -306,18 +299,20 @@ def run_evolve(report: RunReport, args: argparse.Namespace) -> None:
     if args.time != 0.0 and k0_mag > 0.0:
         study = nonrel.limit_scaling_study(
             [0.5 * k0_mag, k0_mag, 2.0 * k0_mag], n=args.grid, t_final=args.time)
-        report.parameters["scaling_distances"] = study["distances"]
-        report.parameters["scaling_vc"] = study["vc_scales"]
-        ratio_names = [f"distance ratio on halving k0 (pair {i})"
-                       for i in range(len(study["distances"]) - 1)]
+        vc, distances = study["vc_scales"], study["distances"]
+        report.parameters["scaling_distances"] = distances
+        report.parameters["scaling_vc"] = vc
+        ratio_names = [f"distance ratio on halving k0 (pair {i})" for i in range(2)]
         slope_name = "log-log slope of distance vs v/c"
-        if study["slope"] is None:
+        if not all(distances):
             reason = f"distances vanish at t={args.time!r}; no ratio or slope to fit"
             report.extend(failed_check(name, reason) for name in ratio_names + [slope_name])
         else:
-            for name, ratio in zip(ratio_names, study["halving_ratios"]):
-                report.add(Check(name, ratio, "in [3, 5]", 1.0, 3.0 <= ratio <= 5.0))
-            report.add(value_check(slope_name, study["slope"], 2.0, 0.3))
+            for i, name in enumerate(ratio_names):
+                report.add(value_check(name, distances[i + 1] / distances[i], 4.0, 1.0))
+            # The least-squares slope through three log-equispaced points.
+            slope = math.log(distances[2] / distances[0]) / math.log(vc[2] / vc[0])
+            report.add(value_check(slope_name, slope, 2.0, 0.3))
 
     if args.out is not None:
         out_dir = Path(args.out)
@@ -328,11 +323,11 @@ def run_evolve(report: RunReport, args: argparse.Namespace) -> None:
             nonrel.export_raw(field, out_dir / f"{label}.f64")
 
 
-def _add_solve_checks(report: RunReport, suffix: str, result: dict) -> bool:
+def _add_solve_checks(report: RunReport, suffix: str, result: dict, expected: list) -> bool:
     """The C4 commutator, K*D symmetry, inertia and level checks of one
-    Landau solve; False when no sector was solved.  landau_levels solves the
-    real sector blocks only when R and T = K*D commute with H exactly, so
-    both bounds are 0."""
+    Landau solve, each level against its expected energy; False when no
+    sector was solved.  landau_levels solves the real sector blocks only when
+    R and T = K*D commute with H exactly, so both bounds are 0."""
     report.add(bound_check("rotation R commutes with H (C4 sectors)" + suffix,
                            result["commutator"], 0.0))
     report.add(bound_check("K·D symmetry of the C4 blocks" + suffix,
@@ -344,8 +339,9 @@ def _add_solve_checks(report: RunReport, suffix: str, result: dict) -> bool:
         report.add(failed_check(inertia, "SuperLU pivoted off the diagonal: inertia unknown"))
     else:
         report.add(bound_check(inertia, result["below_shift"], 1e-14))
-    for j, err in enumerate(result["relative_errors"]):
-        report.add(bound_check(f"level {j} vs hbar*w_c*(n+1/2){suffix}", err, 0.02))
+    for j, (level, target) in enumerate(zip(result["levels"], expected)):
+        report.add(bound_check(f"level {j} vs hbar*w_c*(n+1/2){suffix}",
+                               abs(level / target - 1.0), 0.02))
     return True
 
 
@@ -357,15 +353,19 @@ def run_landau(report: RunReport, args: argparse.Namespace) -> None:
         # default: magnetic length = box/10
         b_field = params.hbar / (params.e * (args.box / 10.0) ** 2)
     result = nonrel.landau_levels(b_field, grid, params, n_levels=args.levels)
+    cyclotron = params.e * b_field / params.m
+    expected = [params.hbar * cyclotron * (j + 0.5) for j in range(args.levels)]
     report.parameters.update(B=b_field, magnetic_length=result["magnetic_length"],
-                             level_energies=result["levels"], expected=result["expected"])
-    if not _add_solve_checks(report, "", result) or args.levels < 2:
+                             level_energies=result["levels"], expected=expected)
+    if not _add_solve_checks(report, "", result, expected) or args.levels < 2:
         return
     try:  # landau_levels alone decides whether 2B lies in its field window
         doubled = nonrel.landau_levels(2.0 * b_field, grid, params, n_levels=2)
     except nonrel.FieldWindowError:
         return
-    if not _add_solve_checks(report, ", B doubled", doubled):
+    # Doubling is exact, so these are hbar*w_c*(n+1/2) at 2B bit for bit.
+    if not _add_solve_checks(report, ", B doubled", doubled,
+                             [2.0 * e for e in expected[:2]]):
         return
     ratio = ((doubled["levels"][1] - doubled["levels"][0])
              / (result["levels"][1] - result["levels"][0]))

@@ -525,31 +525,30 @@ def run_limit_comparison(k0x: float, k0y: float = 0.0, n: int = 128,
 
 def limit_scaling_study(k0_values, n: int = 128, t_final: float = 10.0,
                         params: PhysicalParams = NATURAL_UNITS) -> dict:
-    """Distances at several velocity scales plus the fitted log-log slope.
+    """"vc_scales" and "distances" at each |k0|, in ascending order.
 
-    Each |k0| value runs at k0 = (|k0|, 0), the default geometry and one
-    step, and only its distance is read: _limit_distance of the
-    coefficients run_limit_comparison uses, so no run builds an n^2 array.
-    When a distance is exactly 0 (the fields never moved apart, as at a
-    subnormal t_final) there is nothing to fit: "slope" and "halving_ratios"
-    are then None.
+    Each |k0| value runs at k0 = (|k0|, 0), the default geometry (sigma =
+    4/|k0|, box = 24 sigma) and one step, and only its distance is read:
+    _limit_distance of the coefficients run_limit_comparison uses, so no run
+    builds an n^2 array.  A GridResolutionError names the study point and
+    its geometry, since neither is the caller's own.
     """
     k0s = [Momentum(k, 0.0) for k in sorted(k0_values)]
     distances = []
     for k0 in k0s:
-        grid, _, spectra = _packet(k0, n)
+        sigma = 4.0 / k0.magnitude
+        try:
+            grid, _, spectra = _packet(k0, n, sigma)
+        except GridResolutionError as exc:
+            raise GridResolutionError(
+                f"scaling study at |k0| = {k0.magnitude:.4g} (sigma = 4/|k0| = {sigma:.4g}, "
+                f"box = 24 sigma = {24.0 * sigma:.4g}): {exc}") from exc
         _, p2, energy = _mode_terms(grid, params)
         upper, _, kinetic = _packet_coefficients(grid, params, p2, energy, t_final)
         distances.append(_limit_distance(params, _folded_weights(spectra), upper, kinetic,
                                          t_final))
-    vcs = np.array([params.hbar * k0.magnitude / (params.m * params.c) for k0 in k0s])
-    distances = np.array(distances)
-    slope = ratios = None
-    if distances.all():
-        slope = float(np.polyfit(np.log(vcs), np.log(distances), 1)[0])
-        ratios = [float(distances[i + 1] / distances[i]) for i in range(len(k0s) - 1)]
-    return {"vc_scales": vcs.tolist(), "distances": distances.tolist(),
-            "slope": slope, "halving_ratios": ratios}
+    return {"vc_scales": [params.hbar * k0.magnitude / (params.m * params.c) for k0 in k0s],
+            "distances": distances}
 
 
 # Landau filtering: a state is bulk when its mean radius is at most this
@@ -741,17 +740,16 @@ def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = NATURAL
     symmetric gauge with 5-point stencils on a Dirichlet box.  The wall smears
     each level into a drift ladder, so only compact eigenstates (mean radius
     at most COMPACT_RADIUS_FRACTION * L) are gap-clustered into levels, each
-    reported at its most compact member.  Bulk levels should match
-    hbar*w_c*(n + 1/2) with w_c = e B / m.
+    reported at its most compact member.
 
-    Returns "expected", "magnetic_length", "commutator" and "reflection"
-    (max|R H - H R| and max|T H - H T| over max|H|, for the 90-degree
-    rotation R and T = K D, conjugation times the diagonal reflection), and
-    "levels", "relative_errors" and "below_shift" (the eigenvalues at or
-    below the solve's shift; 0 proves the lowest states were found, None when
-    a factorization cannot tell).  The C4 sectors are solved as real blocks
-    (_sector_lowest) only when both symmetry defects are 0; otherwise the
-    last three are None.
+    Returns "magnetic_length", "commutator" and "reflection" (max|R H - H R|
+    and max|T H - H T| over max|H|, for the 90-degree rotation R and
+    T = K D, conjugation times the diagonal reflection), "levels" (the
+    n_levels level energies, ascending) and "below_shift" (the eigenvalues
+    at or below the solve's shift; 0 proves the lowest states were found,
+    None when a factorization cannot tell).  The C4 sectors are solved as
+    real blocks (_sector_lowest) only when both symmetry defects are 0;
+    otherwise the last two are None.
 
     Raises FieldWindowError, before any assembly, when the magnetic length
     sqrt(hbar/(e B)) lies outside [MAGNETIC_LENGTH_SPACINGS * h,
@@ -784,17 +782,14 @@ def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = NATURAL
             f"{certifiable} the sector solve of a {n}x{n} grid certifies; lower n_levels")
     ham = _landau_hamiltonian(b_field, grid, params)
     orbits = _rotation_orbits(n)
-    cyclotron = params.e * b_field / params.m
-    expected = [params.hbar * cyclotron * (j + 0.5) for j in range(n_levels)]
     commutator, reflection = _symmetry_defects(ham, orbits)
     out = {
-        "expected": expected,
         "magnetic_length": float(magnetic_length),
         "commutator": commutator,
         "reflection": reflection,
     }
     if commutator != 0.0 or reflection != 0.0:
-        return out | {"levels": None, "relative_errors": None, "below_shift": None}
+        return out | {"levels": None, "below_shift": None}
 
     values, weights, below_shift = _sector_lowest(ham, orbits, k, -(-k // 4) + 6)
 
@@ -807,11 +802,7 @@ def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = NATURAL
             f"found only {len(levels)} bulk level clusters among {values.size} eigenvalues "
             f"at magnetic length {magnetic_length:.4g}, grid spacing h = {h:.4g} and box "
             f"side L = {grid.length:.4g}")
-    return out | {
-        "levels": levels,
-        "relative_errors": [abs(l / e0 - 1.0) for l, e0 in zip(levels, expected)],
-        "below_shift": below_shift,
-    }
+    return out | {"levels": levels, "below_shift": below_shift}
 
 
 def _bulk_levels(values: np.ndarray, mean_radius: np.ndarray, length: float,

@@ -10,8 +10,6 @@ because OpenBLAS picks its kernels by CPU.  Measured on one machine over 18
 OPENBLAS_CORETYPE settings, from Katmai, Prescott and Core2 to Haswell, Zen,
 SkylakeX and SapphireRapids:
 
-- the least-squares slope (np.polyfit) of `evolve` moved by up to 2 ulp
-  (4.3e-16 relative): bound 1e-14;
 - the ARPACK Landau solve moved level energies by up to 4.5e-15, the spacing
   ratio by up to 3.1e-14 and the level errors (about 1e-3) by up to 1.5e-12
   relative: every `landau` value has bound 1e-10;
@@ -21,7 +19,7 @@ SkylakeX and SapphireRapids:
   by a sizeable fraction of themselves, since one ulp of an operand is
   comparable to the residual: bound 0.5.
 
-Every other value, including all distances, the `spinor` determinants
+Every other value, including every `evolve` value, the `spinor` determinants
 (LAPACK getrf) and the `fock` state norms (BLAS dot), stayed bit-identical
 under those kernels and with numpy's AVX-512 paths disabled.  With numpy's
 AVX2 paths disabled too, as on a CPU without AVX2, numpy's own sin, cos and
@@ -77,14 +75,12 @@ ARGV = [
 LANDAU_RELATIVE_BOUND = 1e-10
 RESIDUAL_RELATIVE_BOUND = 0.5
 # (command, check name) -> relative bound; all other values are bit for bit.
-CHECK_RELATIVE_BOUNDS = {
-    ("evolve", "log-log slope of distance vs v/c"): 1e-14,
-    **dict.fromkeys([("algebra", "matrix exponential unitarity"),
-                     ("algebra", "matrix exponential group property"),
-                     ("algebra", "matrix exponential vs scaling-and-squaring"),
-                     ("spinor", "dirac residual (u branch)"),
-                     ("spinor", "dirac residual (v branch)")], RESIDUAL_RELATIVE_BOUND),
-}
+CHECK_RELATIVE_BOUNDS = dict.fromkeys([
+    ("algebra", "matrix exponential unitarity"),
+    ("algebra", "matrix exponential group property"),
+    ("algebra", "matrix exponential vs scaling-and-squaring"),
+    ("spinor", "dirac residual (u branch)"),
+    ("spinor", "dirac residual (v branch)")], RESIDUAL_RELATIVE_BOUND)
 
 
 def _bound(command: str, group: tuple) -> float:

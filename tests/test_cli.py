@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from planardirac import cli, fock
-from planardirac.reporting import RunReport
+from planardirac.reporting import RunReport, value_check
 
 
 def run_main(argv, capsys):
@@ -312,6 +312,19 @@ class TestSpinorReport:
         assert g1_re == pytest.approx(0.0, abs=1e-15)
         assert g1_im == pytest.approx(-0.4142135623730951, abs=1e-12)
 
+    def test_plane_wave_builds_do_not_grow(self, capsys, monkeypatch):
+        """A run makes at most 4 planewave.plane_wave calls, its measured
+        value: u and v are built once for their own checks and once more for
+        the orthogonality checks, where 2 calls would do.  The benchmark pins
+        the same count, but the benchmark is not part of this suite."""
+        calls = []
+        plane_wave = cli.planewave.plane_wave
+        monkeypatch.setattr(cli.planewave, "plane_wave",
+                            lambda *a, **kw: calls.append(None) or plane_wave(*a, **kw))
+        code, _, _ = run_main(["spinor", "--kx=0.5"], capsys)
+        assert code == 0
+        assert len(calls) <= 4
+
 
 class TestFockReport:
     def test_single_mode_spectrum_check_present(self, capsys):
@@ -356,13 +369,32 @@ class TestFockReport:
 
 class TestLandauReport:
     @pytest.fixture
-    def requested(self, monkeypatch):
-        """The k of each nonrel.eigsh call the test makes, in call order."""
-        requested = []
-        eigsh = cli.nonrel.eigsh
+    def solver(self, monkeypatch):
+        """The eigensolve work the test makes: "k", the k of each nonrel.eigsh
+        call in call order, and the SuperLU "factorizations" (nonrel.splu
+        calls) and "solves" (their solve calls, one per shift-invert step)."""
+        work = {"k": [], "factorizations": 0, "solves": 0}
+        eigsh, splu = cli.nonrel.eigsh, cli.nonrel.splu
+
+        class CountedLU:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def __getattr__(self, name):
+                return getattr(self.lu, name)
+
+            def solve(self, rhs):
+                work["solves"] += 1
+                return self.lu.solve(rhs)
+
+        def counted_splu(*args, **kwargs):
+            work["factorizations"] += 1
+            return CountedLU(splu(*args, **kwargs))
+
         monkeypatch.setattr(cli.nonrel, "eigsh",
-                            lambda *a, **kw: requested.append(kw["k"]) or eigsh(*a, **kw))
-        return requested
+                            lambda *a, **kw: work["k"].append(kw["k"]) or eigsh(*a, **kw))
+        monkeypatch.setattr(cli.nonrel, "splu", counted_splu)
+        return work
 
     def test_inertia_check_alongside_unchanged_checks(self, capsys):
         code, out, _ = run_main(["--json", "landau", "--grid", "32"], capsys)
@@ -413,7 +445,7 @@ class TestLandauReport:
         assert checks[0]["measured"] > 0.0 and checks[1]["measured"] > 0.0
 
     def test_potential_odd_under_reflection_fails_kd_check(self, capsys, monkeypatch,
-                                                             requested):
+                                                             solver):
         """A real diagonal eps r^2 sin(4 theta) = 4 eps x y (x^2 - y^2) / r^2 is
         C4-symmetric but odd under the diagonal reflection D: R still commutes
         with H exactly, the K*D check fails, no block is solved, and the run
@@ -436,7 +468,7 @@ class TestLandauReport:
             ("rotation R commutes with H (C4 sectors)", True),
             ("K·D symmetry of the C4 blocks", False)]
         assert checks[0]["measured"] == 0.0 and checks[1]["measured"] > 0.0
-        assert requested == []
+        assert solver == {"k": [], "factorizations": 0, "solves": 0}
 
     @pytest.mark.parametrize("args,message,solved", [
         pytest.param(["--levels", "20"], "found only 3 bulk level clusters among 389 "
@@ -446,7 +478,7 @@ class TestLandauReport:
         pytest.param(["--B", "0.2821223263217904", "--levels", "48"], "48 levels need "
                      "k = 1017 eigenpairs, more than the n^2 - 9 = 1015", False, id="48"),
     ])
-    def test_too_many_levels_exit_two(self, args, message, solved, capsys, requested):
+    def test_too_many_levels_exit_two(self, args, message, solved, capsys, solver):
         """More levels than the grid-32 box holds is a usage error: found
         after the solve at 20 levels, and refused before any eigensolve where
         k exceeds the n*n - 9 values the four C4 blocks, at n*n/4 - 2 pairs
@@ -455,8 +487,8 @@ class TestLandauReport:
         code, _, err = run_main(["landau", "--grid", "32", *args], capsys)
         assert code == 2
         assert message in err
-        assert bool(requested) == solved
-        assert max(requested, default=0) <= 32 * 32 // 4 - 2
+        assert bool(solver["k"]) == solved
+        assert max(solver["k"], default=0) <= 32 * 32 // 4 - 2
 
     def test_uncertified_shift_is_failed_check(self, capsys, monkeypatch):
         solve = cli.nonrel.landau_levels
@@ -525,21 +557,25 @@ class TestLandauReport:
             assert any("B doubled" in name for name in names) == accepted, b_field
         assert seen == {True, False}
 
-    @pytest.mark.parametrize("args,calls,total_k", [
-        pytest.param(["--grid", "32"], 4, 92, id="32"),
-        pytest.param(["--grid", "64"], 8, 196, id="64"),
-        pytest.param(["--grid", "64", "--B", "0.5"], 8, 308, id="64-B0.5"),
+    @pytest.mark.parametrize("args,calls,total_k,solves", [
+        pytest.param(["--grid", "32"], 4, 92, 342, id="32"),
+        pytest.param(["--grid", "64"], 8, 196, 730, id="64"),
+        pytest.param(["--grid", "64", "--B", "0.5"], 8, 308, 1076, id="64-B0.5"),
     ])
-    def test_eigensolves_do_not_grow(self, args, calls, total_k, capsys, requested):
-        """Upper bounds on the eigsh calls and their total k, at their
-        measured values: one solve per C4 sector per field, four at grid 32,
-        where the default magnetic length 2 over sqrt(2) is below 3h and 2B
-        is refused, and eight at grid 64, where 2B is solved too.  Grids 32
-        and 64 together are the benchmark's nonrel pass: 12 calls, k 288."""
+    def test_eigensolves_do_not_grow(self, args, calls, total_k, solves, capsys, solver):
+        """Upper bounds on the eigsh calls, their total k and the SuperLU
+        solves behind them, at their measured values: one eigsh call and one
+        factorization per C4 sector per field, four at grid 32, where the
+        default magnetic length 2 over sqrt(2) is below 3h and 2B is refused,
+        and eight at grid 64, where 2B is solved too; 342, 730 and 1076
+        shift-invert solves.  Grids 32 and 64 together are the benchmark's
+        nonrel pass: 12 calls, k 288."""
         code, _, _ = run_main(["landau", *args], capsys)
         assert code in (0, 1)
-        assert len(requested) <= calls
-        assert sum(requested) <= total_k
+        assert len(solver["k"]) <= calls
+        assert solver["factorizations"] <= calls
+        assert sum(solver["k"]) <= total_k
+        assert solver["solves"] <= solves
 
 
 class TestEvolveCommand:
@@ -561,6 +597,31 @@ class TestEvolveCommand:
             "log-log slope of distance vs v/c"]
         assert all(c["expected"].startswith(f"distances vanish at t={t_final};")
                    for c in failed)
+
+    def test_ratio_check_is_four_within_one(self, capsys):
+        """Each halving ratio is reported as 4 within 1, which passes exactly
+        when the ratio lies in [3, 5]: for r in [2, 8], r - 4 is exact
+        (Sterbenz), every other r fails both tests, and NaN fails both."""
+        code, out, _ = run_main(["--json", "evolve"], capsys)
+        assert code == 0
+        ratios = [c for c in json.loads(out)["checks"] if c["name"].startswith("distance ratio")]
+        assert [(c["expected"], c["tolerance"], c["passed"]) for c in ratios] == [
+            (4.0, 1.0, True)] * 2
+        edges = [np.nextafter(edge, toward) for edge in (3.0, 5.0) for toward in (0.0, 8.0)]
+        for ratio in [2.0, 3.0, 5.0, 8.0, *edges, np.nan, np.inf, -np.inf]:
+            assert value_check("ratio", ratio, 4.0, 1.0).passed == (3.0 <= ratio <= 5.0), ratio
+
+    def test_scaling_study_geometry_error_names_the_study(self, capsys):
+        """The study runs at its own default geometry, sigma = 4/|k0| and
+        box = 24 sigma, whatever the main run's flags: when that geometry
+        does not fit the grid, the misuse message says so, not just "sigma=160"
+        that the user never gave.  The main run alone (t = 0) passes."""
+        argv = ["evolve", "--grid", "64", "--sigma", "30", "--box", "400"]
+        code, _, err = run_main(argv, capsys)
+        assert code == 2
+        assert err.startswith("error: scaling study at |k0| = 0.025 (sigma = 4/|k0| = 160, "
+                              "box = 24 sigma = 3840): sigma=160 must be at least 4 grid")
+        assert run_main([*argv, "--time", "0"], capsys)[0] == 0
 
     def test_packet_without_lower_component_fails_with_reason(self, capsys):
         """A packet constant over the box holds only k = 0, where G1 = 0, so

@@ -225,6 +225,23 @@ class TestHamiltonian:
                       for combo in itertools.combinations(pool, r))
         assert np.allclose(diag, sums, atol=1e-12)
 
+    @pytest.mark.parametrize("n_modes, h, h_prime, from_field", [
+        (1, 2, 3, 2), (2, 10, 15, 60), (3, 52, 63, 507), (4, 186, 255, 3804),
+        (5, 884, 1023, 23515), (6, 3676, 4095, 137153)])
+    def test_stored_entries_do_not_grow(self, n_modes, h, h_prime, from_field):
+        """Upper bounds on the stored CSR entries of H, H' and the
+        field-integral H at the fock suite's default modes, at their measured
+        values.  H' is diagonal with one zero, the vacuum: 4^M - 1 entries.
+        H = H' - sum(hbar w) I is diagonal too and stores its nonzero
+        energies: 2, 10, 52, 186, 884, 3676.  hamiltonian_from_field stores
+        2, 60, 507, 3804, 23515, 137153: besides the diagonal, the rounding
+        residue of cross terms that cancel in exact arithmetic, 37 times H's
+        count at M = 6.  A build that stores more shows here."""
+        space = fock.build_space(fock.default_symmetric_modes(n_modes))
+        assert fock.hamiltonian(space).matrix.nnz <= h
+        assert fock.normal_ordered_hamiltonian(space).matrix.nnz <= h_prime
+        assert fock.hamiltonian_from_field(space).matrix.nnz <= from_field
+
     @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5, 6])
     def test_enumeration_matches_diagonal(self, n_modes):
         """In basis order, the enumeration equals a per-index sum over

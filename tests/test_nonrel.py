@@ -689,11 +689,19 @@ class TestCompareLimit:
         assert scaled["distance"] == pytest.approx(natural["distance"], rel=1e-9)
 
 
+def level_errors(result, b_field, params=NATURAL):
+    """|E_j / (hbar w_c (j + 1/2)) - 1|, w_c = e B / m, of each reported level."""
+    cyclotron = params.e * b_field / params.m
+    return [abs(level / (params.hbar * cyclotron * (j + 0.5)) - 1.0)
+            for j, level in enumerate(result["levels"])]
+
+
 class TestLandauLevels:
     def test_small_grid_levels(self):
         """N = 32 box with magnetic length 3.2 cells: two levels inside 2%."""
         result = nr.landau_levels(1.0, nr.Grid2D(32, 10.0), NATURAL, n_levels=2)
-        assert all(err < 0.02 for err in result["relative_errors"])
+        errors = level_errors(result, 1.0)
+        assert len(errors) == 2 and all(err < 0.02 for err in errors)
 
     def test_magnetic_length_preconditions(self):
         grid = nr.Grid2D(32, 10.0)
@@ -970,7 +978,7 @@ class TestLandauLevels:
         assert [run["commutator"] for run in runs] == [0.0, 0.0, 0.0]
         spacings = np.log([grid.spacing for grid in grids])
         for level in range(3):
-            errors = np.log([run["relative_errors"][level] for run in runs])
+            errors = np.log([level_errors(run, b_field)[level] for run in runs])
             slope = np.polyfit(spacings, errors, 1)[0]
             assert slope == pytest.approx(2.0, abs=0.3), (level, slope)
 
