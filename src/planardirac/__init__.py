@@ -12,17 +12,12 @@ Layers:
 - ``nonrel``: spectral time evolution, the non-relativistic (Schrodinger)
   reduction, minimal coupling, and a Landau-level validation.
 - ``cli``: subcommands running each verification suite with JSON reports.
-"""
 
-from .planewave import (
-    Branch,
-    DegenerateNormalizationError,
-    Momentum,
-    PhysicalParams,
-    PlaneWaveSolution,
-    dispersion_omega,
-    plane_wave,
-)
+The ``planewave`` names in ``__all__`` are re-exported lazily (PEP 562): the
+first access imports ``planewave``, so ``import planardirac`` loads no numpy.
+``cli`` sets the OpenBLAS thread count before numpy loads, which works only
+if importing the package has not loaded it already.
+"""
 
 __all__ = [
     "Branch",
@@ -35,3 +30,10 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        from . import planewave
+        return getattr(planewave, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,10 +20,15 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 import time
 import traceback
 from pathlib import Path
+
+# Every BLAS call here is small, and idle OpenBLAS workers spin: one thread unless the user chose.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 from scipy.linalg import expm

@@ -3,8 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from planardirac import cli, fock
-from planardirac.reporting import RunReport, value_check
+import planardirac
+from planardirac import cli, fock, planewave
+from planardirac.reporting import Check, RunReport, failed_check, value_check
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_main(argv, capsys):
@@ -231,12 +236,34 @@ class TestRepeatedCalls:
         assert in_process == fresh
 
 
+def _corpus_report(path):
+    """The RunReport behind a golden file: the CLI's checks and parameters."""
+    stored = json.loads(path.read_text())["report"]
+    return RunReport(stored["command"], stored["parameters"],
+                     [Check(**check) for check in stored["checks"]], 0.1 + 0.2)
+
+
 class TestJsonOutput:
     def test_json_round_trips_byte_identical(self, capsys):
         code, out, _ = run_main(["--json", "algebra"], capsys)
         assert code == 0
         parsed = json.loads(out)
         assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == out
+
+    @pytest.mark.parametrize("report", [
+        *(pytest.param(_corpus_report(path), id=path.stem)
+          for path in sorted(GOLDEN.glob("*.json"))),
+        pytest.param(RunReport("evolve", {"grid": 64, "distances": [0.0, 1e-300]}, [
+            failed_check("scaling", 'a reason with "quotes", },\n      { and \u00e9'),
+            value_check("ratio", 4.25, 4.0, 1.0)]), id="failed_check"),
+        pytest.param(RunReport("spinor", {}, [value_check("one", -0.0, 0.0, 0.0)]),
+                     id="one_check"),
+        pytest.param(RunReport("algebra"), id="no_checks"),
+    ])
+    def test_to_json_is_indented_dumps(self, report):
+        """to_json splices the C-encoded checks into the indented document;
+        the text is exactly what the pure-Python indented encoder writes."""
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2, sort_keys=True)
 
     def test_report_schema(self, capsys):
         _, out, _ = run_main(["--json", "fock", "--modes", "1"], capsys)
@@ -686,3 +713,66 @@ class TestConsoleEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["passed"] is True
+
+
+THREAD_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# Prints the thread variables set after importing cli, and the process's thread count.
+CLI_THREADS = (
+    "import json, os\n"
+    "from planardirac import cli\n"
+    f"env = {{k: os.environ[k] for k in {THREAD_ENV!r} if k in os.environ}}\n"
+    "task = '/proc/self/task'\n"
+    "print(json.dumps([env, len(os.listdir(task)) if os.path.isdir(task) else None]))")
+
+
+def _fresh(code, **thread_env):
+    """JSON printed by ``code`` in a fresh interpreter whose environment sets
+    only the given thread variables; ``planardirac`` comes from this tree."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_ENV}
+    env.update(thread_env)
+    src = str(Path(planardirac.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+class TestBlasThreads:
+    """Importing ``planardirac.cli`` runs OpenBLAS on one thread unless the
+    user set a thread count; importing the package loads no numpy."""
+
+    def test_cli_import_runs_blas_on_one_thread(self):
+        env, tasks = _fresh(CLI_THREADS)
+        assert env == {"OPENBLAS_NUM_THREADS": "1"}
+        if sys.platform.startswith("linux") and (os.cpu_count() or 1) > 1:
+            # numpy's and scipy's OpenBLAS would each start cpu_count - 1 workers.
+            assert tasks == 1
+
+    @pytest.mark.parametrize("name", ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"])
+    def test_user_thread_count_is_kept(self, name):
+        env, _ = _fresh(CLI_THREADS, **{name: "2"})
+        assert env == {name: "2"}
+
+    def test_package_import_loads_no_numpy(self):
+        assert _fresh("import json, sys, planardirac\n"
+                      "print(json.dumps('numpy' in sys.modules))") is False
+
+    def test_reexports_resolve_on_first_access(self):
+        loaded = _fresh(
+            "import json, sys, planardirac\n"
+            "before = 'planardirac.planewave' in sys.modules\n"
+            "planardirac.plane_wave\n"
+            "print(json.dumps([before, 'planardirac.planewave' in sys.modules]))")
+        assert loaded == [False, True]
+        for name in planardirac.__all__:
+            assert getattr(planardirac, name) is getattr(planewave, name), name
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="nosuch"):
+            planardirac.nosuch
+        assert _fresh(
+            "import json, sys, planardirac\n"
+            "try:\n"
+            "    planardirac.nosuch\n"
+            "except AttributeError:\n"
+            "    print(json.dumps('planardirac.planewave' in sys.modules))") is False
