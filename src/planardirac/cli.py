@@ -445,7 +445,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
-        print(f"error: inputs out of floating-point range ({exc})", file=sys.stderr)
+        # float ** raises OverflowError(errno, message): print the message alone
+        print(f"error: inputs out of floating-point range ({exc.args[-1]})", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"error: inputs too large for the memory of this machine ({exc})",

@@ -122,30 +122,16 @@ def _row_blocks(n: int):
     return [slice(start, min(start + _ROW_BLOCK, n)) for start in range(0, n, _ROW_BLOCK)]
 
 
-def boundary_density(f: WaveField) -> float:
-    """Peak |psi|^2 on the outermost grid cells relative to the global peak.
-
-    |psi|^2 is formed one block of rows, and one component, at a time, so the
-    only temporaries are a block's.
-    """
-    n = f.grid.n
-    edge, peak = [], []
-    for rows in _row_blocks(n):
-        dens = np.abs(f.component(0)[rows]) ** 2
-        if f.components == 2:
-            dens += np.abs(f.data[1, rows]) ** 2
-        edge += [dens[:, 0].max(), dens[:, -1].max()]
-        if rows.start == 0:
-            edge.append(dens[0].max())
-        if rows.stop == n:
-            edge.append(dens[-1].max())
-        peak.append(dens.max())
-    return float(np.max(edge) / np.max(peak))
+def edge_ratio(density: np.ndarray) -> float:
+    """Peak of a real (n, n) density |psi|^2 on the outermost grid cells
+    relative to its global peak: the boundary density of the field."""
+    edge = max(density[0].max(), density[-1].max(), density[:, 0].max(), density[:, -1].max())
+    return float(edge / density.max())
 
 
 def _separable_boundary_density(fx: np.ndarray, fy: np.ndarray) -> float:
-    """boundary_density of the scalar field outer(fx, fy): each of its edge
-    rows and columns, and its peak, is a product of the two 1-D |f|^2."""
+    """edge_ratio of |outer(fx, fy)|^2: each of its edge rows and columns,
+    and its peak, is a product of the two 1-D |f|^2."""
     return float(max(max(d[0], d[-1]) / d.max() for d in (np.abs(fx) ** 2, np.abs(fy) ** 2)))
 
 
@@ -472,12 +458,16 @@ def run_limit_comparison(k0x: float, k0y: float = 0.0, n: int = 128,
     applies U(dt) and K(dt), dt = t_final/steps, steps times on the
     quadrant (free evolution is step-count independent; this exercises the
     group property), and "distance" (_limit_distance) and "closure"
-    (_closure_ratio) are sums there.  The spinor is the one n^2 array kept:
-    it is built one block of rows at a time straight from the quadrant
-    coefficients and inverse-transformed along its rows while the block is
-    in cache, then along its columns in place, so the memory peak is the
-    spinor, the quadrant coefficients and one block.  The Schrodinger field
-    stays two 1-D factors unless keep_fields needs the mesh.  Only the final
+    (_closure_ratio) are sums there.  The boundary density needs only
+    |psi|^2, so the spinor is built one component at a time in one complex
+    n^2 buffer: a block of rows at a time straight from the quadrant
+    coefficients, inverse-transformed along its rows while the block is in
+    cache, then along its columns in place, and its |psi|^2 added into one
+    real n^2 density.  The memory peak is that buffer, the density, the
+    lower quadrant coefficient and one block (1.77 complex n^2 arrays at
+    n = 1024).  Only keep_fields allocates the whole spinor, and then each
+    component is transformed in its own slice.  The Schrodinger field stays
+    two 1-D factors unless keep_fields needs the mesh.  Only the final
     fields return to real space.
     """
     if steps is not None and steps < 1:
@@ -498,27 +488,38 @@ def run_limit_comparison(k0x: float, k0y: float = 0.0, n: int = 128,
     # The Schrodinger spectrum; unitary DFTs keep the norm, and an outer
     # product's is its factors' product.
     schrod = [f / np.sqrt(np.sum(np.abs(f) ** 2) * grid.spacing) for f in spectra]
-    # The spinor (upper S, -(lower p) S) exp(i m c^2 t/hbar), built a block of
-    # rows at a time from the quadrant and inverse-transformed along its rows
-    # while the block is in cache; the columns follow over the whole spinor.
-    # Not ifft2(dirac, out=dirac): under numpy 2.4 that returns wrong values.
+    # The spinor (upper S, -(lower p) S) exp(i m c^2 t/hbar), one component at
+    # a time: built a block of rows at a time from the quadrant and
+    # inverse-transformed along its rows while the block is in cache, then
+    # along its columns in place, and its |psi|^2 added into the density.
+    # Without keep_fields both components share one buffer.
+    # Not ifft2(psi, out=psi): under numpy 2.4 that returns wrong values.
     rest = _rest_phase(params, t_final)
-    dirac = np.empty((2, n, n), dtype=complex)
-    for rows in _row_blocks(n):
-        block = dirac[:, rows]
-        np.multiply.outer(schrod[0][rows], schrod[1], out=block[0])
-        off = _momentum(q, rows)
-        np.multiply(_mirror(lower, rows), off, out=off)
-        np.negative(np.multiply(off, block[0], out=block[1]), out=block[1])
-        np.multiply(_mirror(upper, rows), block[0], out=block[0])
-        block *= rest
-        np.fft.ifft(block, axis=-1, norm="ortho", out=block)
-    np.fft.ifft(dirac, axis=-2, norm="ortho", out=dirac)
-    dirac_t = WaveField(grid, dirac, gauge_frame=True, time=t_final)
+    dirac = np.empty((2, n, n), dtype=complex) if keep_fields else None
+    components = dirac if keep_fields else [np.empty((n, n), dtype=complex)] * 2
+    for c, psi in enumerate(components):
+        for rows in _row_blocks(n):
+            block = psi[rows]
+            np.multiply.outer(schrod[0][rows], schrod[1], out=block)
+            if c == 0:
+                np.multiply(_mirror(upper, rows), block, out=block)
+            else:
+                off = _momentum(q, rows)
+                np.multiply(_mirror(lower, rows), off, out=off)
+                np.negative(np.multiply(off, block, out=block), out=block)
+            block *= rest
+            np.fft.ifft(block, axis=-1, norm="ortho", out=block)
+        np.fft.ifft(psi, axis=-2, norm="ortho", out=psi)
+        if c == 0:
+            upper = None  # component 0 was its only reader: free it before the density
+            density = np.zeros((n, n))
+        for rows in _row_blocks(n):
+            density[rows] += np.abs(psi[rows]) ** 2
     schrod = [np.fft.ifft(f * kinetic, norm="ortho") for f in schrod]
-    out["boundary_density"] = max(boundary_density(dirac_t), _separable_boundary_density(*schrod))
+    out["boundary_density"] = max(edge_ratio(density), _separable_boundary_density(*schrod))
+    del density  # before keep_fields builds the Schrodinger mesh
     if keep_fields:
-        out["dirac_field"] = dirac_t
+        out["dirac_field"] = WaveField(grid, dirac, gauge_frame=True, time=t_final)
         out["schrodinger_field"] = WaveField(grid, np.multiply.outer(*schrod), time=t_final)
     return out
 

@@ -76,6 +76,19 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["spinor", "--kx", "1e200"], ["spinor", "--c", "1e200"], ["spinor", "--m", "1e300"],
+        ["fock", "--modes", "2", "--box", "1e300"], ["fock", "--modes", "2", "--box", "1e-300"],
+    ], ids=["kx", "c", "m", "box-large", "box-small"])
+    def test_overflow_names_no_errno(self, argv, capsys):
+        """float ** raises OverflowError((34, message)); the user sees one
+        error line with the message and without the errno tuple."""
+        code, out, err = run_main(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: inputs out of floating-point range (")
+        assert err.count("\n") == 1 and "(34," not in err
+
     def test_negative_box_is_named_before_default_field(self, capsys):
         """The box is validated before the default --B is derived from it, so
         a huge negative box is reported as such, not as an overflow."""

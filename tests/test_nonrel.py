@@ -580,26 +580,59 @@ class TestCompareLimit:
             tracemalloc.stop()
 
     def test_main_run_peak(self):
-        """A one-step main run at n = 512 peaks below 3.0 complex n^2 arrays
-        (2.71 measured): the spinor (two arrays), the quadrant coefficients
-        (upper complex, lower real: 3/8 of an array) and the temporaries of
-        one 64-row block (1/8 of the rows at n = 512).  The spinor is built
-        and inverse-transformed along its rows one block at a time straight
-        from the quadrant, its columns are transformed in place, and
-        boundary_density reads |psi|^2 a block at a time.  The distance is a
-        quadrant sum taken before any n^2 array exists, and the Schrodinger
-        field stays two 1-D factors."""
+        """A one-step main run at n = 512 peaks below 2.05 complex n^2 arrays
+        (1.953 measured; the margin is 0.1 array): one component buffer, the
+        real density (half an array), the real lower quadrant coefficient
+        (1/8 of an array) and the temporaries of one 64-row block (1/8 of
+        the rows at n = 512).  Each spinor component is built and
+        inverse-transformed along its rows one block at a time straight from
+        the quadrant, its columns are transformed in place, and its |psi|^2
+        is added into the density a block at a time.  The upper coefficient
+        is freed before the density exists.  The distance is a quadrant sum
+        taken before any n^2 array exists, and the Schrodinger field stays
+        two 1-D factors."""
         n = 512
-        assert self._traced_peak(n=n) < 3.0 * 16 * n * n
+        assert self._traced_peak(n=n) < 2.05 * 16 * n * n
+
+    def test_main_run_holds_one_complex_mesh(self):
+        """At n = 1024, where a row block is 1/16 of the rows, the main run
+        peaks below two complex n^2 arrays (1.773 measured): it never holds
+        the whole spinor, only one component buffer and the real density."""
+        n = 1024
+        assert self._traced_peak(n=n) < 2.0 * 16 * n * n
 
     def test_stepped_run_peak(self):
-        """A two-step main run at n = 512 peaks below 3.0 complex n^2 arrays
-        (2.83 measured), where a one-step run does: the spinor, the quadrant
-        coefficients and one row block.  The steps run on the quadrant, and
+        """A two-step main run at n = 512 peaks below 2.2 complex n^2 arrays
+        (2.079 measured; the margin is 0.12 array), where a one-step run
+        does: one component buffer, the density, the lower quadrant
+        coefficient and one row block.  The steps run on the quadrant, and
         the only addition is that the quadrant's lower coefficient is
-        complex (a quarter array) instead of real."""
+        complex (a quarter array) instead of real, and so is its block."""
         n = 512
-        assert self._traced_peak(n=n, steps=2) < 3.0 * 16 * n * n
+        assert self._traced_peak(n=n, steps=2) < 2.2 * 16 * n * n
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    @pytest.mark.parametrize("k0", [(0.05, 0.0), (0.03, 0.04)])
+    def test_kept_fields_change_no_measurement(self, k0, steps, monkeypatch):
+        """keep_fields transforms each component in its own slice of the kept
+        spinor, the default run both in one buffer: "distance", "closure"
+        and "boundary_density" agree bit for bit.  The boundary density is
+        the full-array edge-over-peak ratio of the kept Dirac field, or the
+        separable Schrodinger value where that is larger (at k0 = (0.03,
+        0.04) and three steps)."""
+        separable = []
+        measure = nr._separable_boundary_density
+        monkeypatch.setattr(nr, "_separable_boundary_density",
+                            lambda fx, fy: separable.append(measure(fx, fy)) or separable[-1])
+        default, kept = (nr.run_limit_comparison(*k0, n=128, steps=steps, keep_fields=keep)
+                         for keep in (False, True))
+        for key in ("distance", "closure", "boundary_density"):
+            assert kept[key] == default[key]
+        assert separable[0] == separable[1]
+        spinor = kept["dirac_field"].data
+        dens = np.abs(spinor[0]) ** 2 + np.abs(spinor[1]) ** 2
+        edge = max(dens[0, :].max(), dens[-1, :].max(), dens[:, 0].max(), dens[:, -1].max())
+        assert kept["boundary_density"] == max(float(edge / dens.max()), separable[1])
 
     def test_main_run_calls_no_ifft2(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -637,7 +670,7 @@ class TestCompareLimit:
         wrap across the box edge."""
         grid = nr.Grid2D(64, 24.0)
         fx, fy = nr._gaussian_factors(grid, center, Momentum(0.3, -0.2), 1.5)
-        mesh = nr.boundary_density(nr.WaveField(grid, np.multiply.outer(fx, fy)))
+        mesh = nr.edge_ratio(np.abs(np.multiply.outer(fx, fy)) ** 2)
         assert (mesh < 1e-8) == (center == (0.0, 0.0))
         assert nr._separable_boundary_density(fx, fy) == pytest.approx(mesh, rel=1e-12, abs=0.0)
 
@@ -660,9 +693,10 @@ class TestCompareLimit:
     @pytest.mark.parametrize("components", [1, 2])
     @pytest.mark.parametrize("n", [8, 128])
     def test_boundary_density_matches_full_array(self, n, components):
-        """boundary_density, read one row block at a time, is the full-array
-        formula bit for bit: at n = 8 the field is one partial block, and at
-        n = 128 the edge maximum is on the last row, in the last block."""
+        """edge_ratio of the density summed one component and one row block
+        at a time, as the main run sums it, is the full-array formula bit for
+        bit: at n = 8 the field is one partial block, and at n = 128 the
+        edge maximum is on the last row, in the last block."""
         rng = np.random.default_rng(n + components)
         shape = (n, n) if components == 1 else (2, n, n)
         data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -673,8 +707,11 @@ class TestCompareLimit:
             dens = dens.sum(axis=0)
         edge = max(dens[0, :].max(), dens[-1, :].max(), dens[:, 0].max(), dens[:, -1].max())
         assert edge == dens[-1, n // 3]
-        field = nr.WaveField(nr.Grid2D(n, 4.0), data)
-        assert nr.boundary_density(field) == float(edge / dens.max())
+        blocked = np.zeros((n, n))
+        for component in data.reshape(-1, n, n):
+            for rows in nr._row_blocks(n):
+                blocked[rows] += np.abs(component[rows]) ** 2
+        assert nr.edge_ratio(blocked) == float(edge / dens.max())
 
     def test_distance_is_dimensionless(self):
         """The same v/c and the same time in rest-energy units must give the
@@ -1059,6 +1096,6 @@ class TestSnapshots:
     def test_boundary_density_detects_wraparound(self):
         grid = nr.Grid2D(64, 24.0)
         centered = nr.build_gaussian(grid, (0, 0), Momentum(0, 0), 1.5)
-        assert nr.boundary_density(centered) < 1e-8
+        assert nr.edge_ratio(np.abs(centered.data) ** 2) < 1e-8
         shifted = nr.build_gaussian(grid, (9.5, 0), Momentum(0, 0), 1.5)
-        assert nr.boundary_density(shifted) > 1e-3
+        assert nr.edge_ratio(np.abs(shifted.data) ** 2) > 1e-3
