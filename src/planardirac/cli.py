@@ -328,26 +328,27 @@ def run_evolve(report: RunReport, args: argparse.Namespace) -> None:
             nonrel.export_raw(field, out_dir / f"{label}.f64")
 
 
-def _add_solve_checks(report: RunReport, suffix: str, result: dict, expected: list) -> bool:
-    """The C4 commutator, K*D symmetry, inertia and level checks of one
-    Landau solve, each level against its expected energy; False when no
-    sector was solved.  landau_levels solves the real sector blocks only when
-    R and T = K*D commute with H exactly, so both bounds are 0."""
-    report.add(bound_check("rotation R commutes with H (C4 sectors)" + suffix,
-                           result["commutator"], 0.0))
-    report.add(bound_check("K·D symmetry of the C4 blocks" + suffix,
-                           result["reflection"], 0.0))
-    if result["levels"] is None:
-        return False
-    inertia = "eigenvalues below the shift (Sylvester inertia)" + suffix
-    if result["below_shift"] is None:
-        report.add(failed_check(inertia, "SuperLU pivoted off the diagonal: inertia unknown"))
-    else:
-        report.add(bound_check(inertia, result["below_shift"], 1e-14))
+def _add_solve_checks(report: RunReport, suffix: str, result: dict, expected: list) -> None:
+    """The mirror, level and degeneracy checks of one Landau solve, each
+    level against its expected energy.
+
+    Mirror: H(-k_y) is H(k_y) reversed in x bit for bit, so the two spectra
+    differ only by the rounding of LAPACK's backward-stable syevd, a small
+    multiple of n eps relative to the largest eigenvalue: bound 1e-12
+    (measured up to 1.5e-14 over the field window at grids 32 to 128).
+    Degeneracy: every kept centre lies at least _wall_margin magnetic lengths
+    from the wall, where the wall lifts each reported level by at most 1.2e-3
+    of its energy, and the stencil's error does not depend on the centre
+    (its Gaussian states are smooth on the grid at l_B >= 3h): the spread is
+    below 1.2e-3, bound 2e-3."""
+    report.add(bound_check("spectrum(k_y) = spectrum(-k_y), x -> -x mirror" + suffix,
+                           result["mirror"], 1e-12))
     for j, (level, target) in enumerate(zip(result["levels"], expected)):
         report.add(bound_check(f"level {j} vs hbar*w_c*(n+1/2){suffix}",
                                abs(level / target - 1.0), 0.02))
-    return True
+    for j, spread in enumerate(result["spread"] or ()):
+        report.add(bound_check(f"level {j} spread over guiding centres 0, "
+                               f"+-{result['outermost_centre']:.4g}{suffix}", spread, 2e-3))
 
 
 def run_landau(report: RunReport, args: argparse.Namespace) -> None:
@@ -362,16 +363,15 @@ def run_landau(report: RunReport, args: argparse.Namespace) -> None:
     expected = [params.hbar * cyclotron * (j + 0.5) for j in range(args.levels)]
     report.parameters.update(B=b_field, magnetic_length=result["magnetic_length"],
                              level_energies=result["levels"], expected=expected)
-    if not _add_solve_checks(report, "", result, expected) or args.levels < 2:
+    _add_solve_checks(report, "", result, expected)
+    if args.levels < 2:
         return
     try:  # landau_levels alone decides whether 2B lies in its field window
         doubled = nonrel.landau_levels(2.0 * b_field, grid, params, n_levels=2)
     except nonrel.FieldWindowError:
         return
     # Doubling is exact, so these are hbar*w_c*(n+1/2) at 2B bit for bit.
-    if not _add_solve_checks(report, ", B doubled", doubled,
-                             [2.0 * e for e in expected[:2]]):
-        return
+    _add_solve_checks(report, ", B doubled", doubled, [2.0 * e for e in expected[:2]])
     ratio = ((doubled["levels"][1] - doubled["levels"][0])
              / (result["levels"][1] - result["levels"][0]))
     report.add(value_check("spacing ratio when B doubles", ratio, 2.0, 0.08))

@@ -19,8 +19,8 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
+# Only perfbench/tracing.py reads eigsh; ROADMAP 1b deletes it; traced nonrel.eigsh_* read 0.
+from scipy.sparse.linalg import eigsh  # noqa: F401
 
 from .planewave import NATURAL_UNITS, Momentum, PhysicalParams
 
@@ -552,212 +552,78 @@ def limit_scaling_study(k0_values, n: int = 128, t_final: float = 10.0,
             "distances": distances}
 
 
-# Landau filtering: a state is bulk when its mean radius is at most this
-# fraction of the box side, and neighbouring bulk eigenvalues closer than this
-# relative gap belong to one level.
-COMPACT_RADIUS_FRACTION = 0.25
-CLUSTER_REL_GAP = 2e-2
-# landau_levels solves at magnetic lengths in [3h, L/6], grid spacing h, box side L.
+# landau_levels solves at magnetic lengths of at least 3 grid spacings.
 MAGNETIC_LENGTH_SPACINGS = 3.0
-MAGNETIC_LENGTH_BOX_DIVISOR = 6.0
+# The five-point second derivative (B. Fornberg, Math. Comp. 51, 699, 1988), times 12 h^2.
+_D4_WEIGHTS = (-1.0, 16.0, -30.0, 16.0, -1.0)
 
 
 def _cell_centers(grid: Grid2D) -> np.ndarray:
-    # Cell-centered coordinates keep the symmetric gauge centered on the box.
     # The half-integer offsets are exact and rounding is sign-symmetric, so
     # x[n-1-j] == -x[j] bit for bit at any box side.
     return (np.arange(grid.n) - (grid.n - 1) / 2.0) * grid.spacing
 
 
-def _landau_hamiltonian(b_field: float, grid: Grid2D,
-                        params: PhysicalParams) -> sparse.csr_matrix:
-    """(1/2m)(P + eA)^2 in the symmetric gauge A = (B/2)(-y, x), 5-point
-    stencils, Dirichlet box, as three Kronecker terms in diag(a), a = (B/2) x.
-    px and Ax act on different tensor factors and commute, as do py and Ay,
-    so the cross term is (e/m)(px Ax + py Ay)."""
+def _wall_margin(n_levels: int) -> float:
+    """The distance, in magnetic lengths, from a guiding centre to the wall
+    at which level j = n_levels - 1 clears it: sqrt(2j + 8), its classical
+    turning point sqrt(2j + 1) with 7 more under the root.  A Dirichlet wall
+    that far from the centre lifts level j of the oscillator by 0.88e-3 to
+    1.17e-3 of its energy for every j in 0..15, and lower levels by less
+    (the half-oscillator on [-12, d], second-order stencil, h = 0.004)."""
+    return math.sqrt(2 * n_levels + 6)
+
+
+def _landau_blocks(b_field: float, grid: Grid2D, params: PhysicalParams,
+                   k_y: np.ndarray) -> np.ndarray:
+    """H(k_y) = -(hbar^2/2m) D4 + diag((hbar k_y + e B x)^2)/2m for each k_y,
+    shape (k_y.size, n, n): (1/2m)(P + eA)^2 in the Landau gauge A = (0, Bx)
+    on one Fourier mode e^(i k_y y) of the periodic y axis.  D4 is the
+    five-point stencil in x on the cell centres, Dirichlet beyond them.
+
+    Both terms are exactly even under x -> -x, k_y -> -k_y: the cell centres
+    are antisymmetric bit for bit and IEEE rounding is sign-symmetric, so
+    H(-k_y) is H(k_y) with its rows and columns reversed, bit for bit."""
     n = grid.n
-    h = grid.spacing
-    a = sparse.diags(0.5 * b_field * _cell_centers(grid))
-    off = np.ones(n - 1)
-    d2 = sparse.diags([off, -2.0 * np.ones(n), off], [-1, 0, 1]) / h**2
-    d1 = sparse.diags([-off, off], [-1, 1]) / (2.0 * h)
-    hbar, e, m = params.hbar, params.e, params.m
-    return (
-        (-hbar**2 / (2 * m)) * sparse.kronsum(d2, d2)
-        + (-1j * hbar * e / m) * (sparse.kron(a, d1) - sparse.kron(d1, a))
-        + (e**2 / (2 * m)) * sparse.kronsum(a @ a, a @ a)
-    ).tocsr()
-
-
-def _rotation_orbits(n: int) -> np.ndarray:
-    """Flat indices (i*n + j) of the orbits of the 90-degree rotation
-    R: (i, j) -> (n-1-j, i) on an even n x n grid, shape (4, n*n/4).
-
-    Row r is R^r applied to the lower-left quadrant, so column q holds the
-    orbit of quadrant cell q: four distinct cells at one distance from the
-    centre, and every cell of the grid lies in exactly one orbit.  R^r (i, j)
-    is cell (i, j) of the index grid rotated clockwise r times.
-    """
-    cells = np.arange(n * n).reshape(n, n)
-    return np.array([np.rot90(cells, -r)[:n // 2, :n // 2].ravel() for r in range(4)])
-
-
-def _symmetry_defects(ham: sparse.csr_matrix, orbits: np.ndarray) -> tuple:
-    """(max|R H - H R|, max|T H - H T|) / max|H| for the rotation R e_c = e_{Rc}
-    and the antiunitary T = K D, complex conjugation times the reflection
-    D e_(i,j) = e_(j,i).
-
-    R H - H R = R (H - R^T H R) and (R^T H R)[c, c'] = H[Rc, Rc'], so the
-    first compares H with itself re-indexed by the rotation; the second
-    compares conj H with H re-indexed by D, as (T^-1 H T)[c, c'] = conj H[Dc, Dc'].
-    """
-    n = math.isqrt(orbits.size)
-    rotate = np.empty(orbits.size, dtype=int)
-    rotate[orbits] = np.roll(orbits, -1, axis=0)
-    mirror = np.arange(orbits.size).reshape(n, n).T.ravel()
-    scale = np.abs(ham.data).max()
-    return tuple(float(np.abs((ham[p][:, p] - b).data).max(initial=0.0) / scale)
-                 for p, b in ((rotate, ham), (mirror, ham.conj())))
-
-
-def _sector_blocks(ham: sparse.csr_matrix, orbits: np.ndarray) -> list:
-    """The blocks H_m = V_m^H ham V_m, m = 0..3, where column q of V_m is
-    (1/2) sum_r i^(-m r) e_{R^r c_q}.  As R commutes with ham,
-    ham[R^r c, R^s c'] = ham[c, R^(s-r) c'], so the four r terms are equal
-    and H_m = sum_s i^(-m s) ham[orbits[0], orbits[s]]: no product is formed."""
-    rows = ham[orbits[0]]
-    slices = [rows[:, orbit] for orbit in orbits]
-    phases = np.array([1.0, -1j, -1.0, 1j])  # i^(-s)
-    return [sum(phases[(m * s) % 4] * block for s, block in enumerate(slices)).tocsr()
-            for m in range(4)]
-
-
-def _reflection_basis(half: int) -> sparse.csr_matrix:
-    """W, the basis in which T = K D makes every C4 block real symmetric.
-
-    D maps quadrant cell q = (i, j), flat index i*half + j, to Dq = (j, i);
-    D R D = R^-1, so T gives T V_m e_q = V_m e_Dq.  W's columns are
-    (e_q + e_Dq)/sqrt2, or e_q when q = Dq, for each q with i >= j, then
-    i(e_q - e_Dq)/sqrt2 for each q with i > j: each is fixed by T, so
-    W^H H_m W is real when T commutes with H.
-    """
-    i, j = np.divmod(np.arange(half * half), half)
-    mirror = j * half + i
-    even, odd = np.flatnonzero(i >= j), np.flatnonzero(i > j)
-    symmetric = np.searchsorted(even, odd)
-    antisymmetric = even.size + np.arange(odd.size)
-    s = np.sqrt(0.5)
-    rows = np.concatenate([even, mirror[odd], odd, mirror[odd]])
-    columns = np.concatenate([np.arange(even.size), symmetric, antisymmetric, antisymmetric])
-    values = np.concatenate([np.where(i[even] == j[even], 1.0, s), np.full(odd.size, s),
-                             np.full(odd.size, 1j * s), np.full(odd.size, -1j * s)])
-    return sparse.csr_matrix((values, (rows, columns)), shape=(half * half, half * half))
-
-
-def _sector_cap(n: int) -> int:
-    """The most pairs _sector_lowest asks of one C4 block of an n x n grid,
-    two fewer than its dimension n*n/4."""
-    return n * n // 4 - 2
-
-
-def _lowest_eigenpairs(ham: sparse.csr_matrix, k: int):
-    """The k eigenpairs of Hermitian or real symmetric ham nearest 0: its k
-    lowest when it is positive definite, which the returned below_shift == 0
-    proves.
-
-    Shift-invert at sigma = 0: ham is factored once and ARPACK iterates with
-    its inverse, so it converges fastest to the eigenvalues nearest 0.  Those
-    are the k lowest when no eigenvalue lies at or below 0, and the factor
-    tells whether one does: when SuperLU keeps its pivots on the diagonal (perm_r ==
-    perm_c), P ham P^T = L D L^H, and by Sylvester's law of inertia the
-    number of pivots with Re D <= 0 is the number of eigenvalues <= 0.
-    Returns (values ascending, vectors, below_shift); below_shift is that
-    count, or None when SuperLU pivoted off the diagonal and it is unknown.
-
-    ARPACK starts from one real fixed-seed Gaussian vector, so repeated
-    solves agree bit for bit.  The Landau solve calls this once per C4
-    rotation sector (_sector_lowest), each block holding one eigenvalue i^m
-    of the rotation, so no start vector has to reach across sectors.
-    """
-    lu = splu(ham.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-              options=dict(SymmetricMode=True))
-    below_shift = None
-    if np.array_equal(lu.perm_r, lu.perm_c):
-        below_shift = int(np.count_nonzero(lu.U.diagonal().real <= 0.0))
-    inverse = LinearOperator(ham.shape, matvec=lu.solve, dtype=ham.dtype)
-    start = np.random.default_rng(0).standard_normal(ham.shape[0])
-    values, vectors = eigsh(ham, k=k, sigma=0.0, which="LM", OPinv=inverse, v0=start)
-    order = np.argsort(values)
-    return values[order], vectors[:, order], below_shift
-
-
-def _sector_lowest(ham: sparse.csr_matrix, orbits: np.ndarray, k: int,
-                   k_sector: int):
-    """The k lowest eigenvalues of ham, which commutes with the rotation R
-    and with T = K D, solved as four real symmetric blocks W^H V_m^H ham V_m W
-    of dimension n*n/4 (_sector_blocks, _reflection_basis).
-
-    Each block gives its k_sector lowest pairs (_lowest_eigenpairs).  With
-    tau the smallest of the four blocks' largest returned values, every
-    eigenvalue of ham below tau has been returned, so the k lowest of the
-    union are certified once at least k of them lie below tau.  Until then
-    k_sector doubles, up to _sector_cap; at that cap the values below tau are
-    returned, fewer than k.  They are at most 4 cap - 1, as the block whose
-    largest value is tau returns at most cap - 1 below it.
-
-    Returns (values ascending, weights, below_shift).  weights[q, i] is
-    |c_q|^2 for the i-th vector's amplitude c_q on orbit q, so the mean of
-    a function constant on orbits is (its quadrant values) @ weights.  For a
-    real block eigenvector u, c = W u and these are |W|^2 @ u^2.
-    below_shift sums the four blocks' inertia counts, or is None when one
-    is unknown.
-    """
-    basis = _reflection_basis(math.isqrt(orbits.shape[1]))
-    # .real views the complex data with a stride; splu takes contiguous data.
-    blocks = [(basis.conj().T @ block @ basis).real.copy()
-              for block in _sector_blocks(ham, orbits)]
-    cap = _sector_cap(math.isqrt(orbits.size))
-    k_sector = min(k_sector, cap)
-    while True:
-        solves = [_lowest_eigenpairs(block, k_sector) for block in blocks]
-        tau = min(values[-1] for values, _, _ in solves)
-        values = np.concatenate([values for values, _, _ in solves])
-        order = np.argsort(values, kind="stable")
-        certified = order[values[order] < tau][:k]
-        if certified.size == k or k_sector == cap:
-            break
-        k_sector = min(2 * k_sector, cap)
-    weights = abs(basis).power(2) @ np.hstack([vectors for _, vectors, _ in solves]) ** 2
-    counts = [count for _, _, count in solves]
-    below_shift = None if None in counts else sum(counts)
-    return values[certified], weights[:, certified], below_shift
+    scale = -params.hbar**2 / (2.0 * params.m * 12.0 * grid.spacing**2)
+    kinetic = sum(np.diag(np.full(n - abs(offset), scale * weight), offset)
+                  for offset, weight in zip(range(-2, 3), _D4_WEIGHTS))
+    momentum = params.hbar * k_y[:, np.newaxis] + (params.e * b_field) * _cell_centers(grid)
+    blocks = np.repeat(kinetic[np.newaxis], k_y.size, axis=0)
+    diagonal = np.arange(n)
+    blocks[:, diagonal, diagonal] += momentum**2 / (2.0 * params.m)
+    return blocks
 
 
 def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = NATURAL_UNITS,
                   n_levels: int = 3) -> dict:
-    """Lowest Landau levels of the minimally coupled Schrodinger Hamiltonian.
+    """Lowest Landau levels of the minimally coupled Schrodinger Hamiltonian
+    (1/2m)(P + eA)^2 on a cylinder: the Landau gauge A = (0, Bx) (L. Landau,
+    Z. Phys. 64, 629, 1930), y periodic with period L and x a Dirichlet wall
+    beyond the grid's cell centres.
 
-    Assembles (1/2m)((-i hbar d_x + e Ax)^2 + (-i hbar d_y + e Ay)^2) in the
-    symmetric gauge with 5-point stencils on a Dirichlet box.  The wall smears
-    each level into a drift ladder, so only compact eigenstates (mean radius
-    at most COMPACT_RADIUS_FRACTION * L) are gap-clustered into levels, each
-    reported at its most compact member.
+    Each k_y = 2 pi j / L is exact, and H(k_y) is a real symmetric n x n
+    problem (_landau_blocks) whose states sit at the guiding centre
+    x0 = -hbar k_y / (e B) = -j 2 pi l_B^2 / L, magnetic length
+    l_B = sqrt(hbar/(e B)).  Centres at least _wall_margin(n_levels)
+    magnetic lengths from the wall at x = +-(n + 1) h / 2 are kept.  Three
+    are solved, in one batched np.linalg.eigvalsh: the axis centre j = 0
+    and the outermost kept pair j = +-J (J = 1 when the axis alone is kept).
+    The wall lifts a level more the nearer its centre lies, so the spread
+    over the three is, to rounding, the spread over every kept centre.
 
-    Returns "magnetic_length", "commutator" and "reflection" (max|R H - H R|
-    and max|T H - H T| over max|H|, for the 90-degree rotation R and
-    T = K D, conjugation times the diagonal reflection), "levels" (the
-    n_levels level energies, ascending) and "below_shift" (the eigenvalues
-    at or below the solve's shift; 0 proves the lowest states were found,
-    None when a factorization cannot tell).  The C4 sectors are solved as
-    real blocks (_sector_lowest) only when both symmetry defects are 0;
-    otherwise the last two are None.
+    Returns "magnetic_length"; "levels", the n_levels lowest eigenvalues at
+    the axis centre, ascending; "outermost_centre", |x0| at j = J when it is
+    kept, else None; "spread", per level, (max - min) over the three
+    centres over the axis value, or None when the axis alone is kept; and
+    "mirror", max|spectrum(k_y) - spectrum(-k_y)| at j = J, two spectra
+    that x -> -x makes equal, over the axis spectrum's largest |eigenvalue|.
 
-    Raises FieldWindowError, before any assembly, when the magnetic length
-    sqrt(hbar/(e B)) lies outside [MAGNETIC_LENGTH_SPACINGS * h,
-    L / MAGNETIC_LENGTH_BOX_DIVISOR], grid spacing h and box side L; a
-    caller tries a field by calling this.  Raises GridResolutionError when
-    n_levels needs more eigenpairs than the sector solve certifies (refused
-    before any solve) or fewer bulk levels are found.
+    Raises FieldWindowError, before any assembly, when l_B lies outside
+    [MAGNETIC_LENGTH_SPACINGS * h, (n + 1) h / (2 _wall_margin(n_levels))],
+    grid spacing h: below, the stencil does not resolve the levels; above,
+    level n_levels - 1 at the axis centre does not clear the wall.  A caller
+    tries a field by calling this.
     """
     if b_field <= 0:
         raise ValueError("magnetic field strength must be positive")
@@ -765,64 +631,34 @@ def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = NATURAL
         raise ValueError("n_levels must be >= 1")
     magnetic_length = np.sqrt(params.hbar / (params.e * b_field))
     h = grid.spacing
+    wall = 0.5 * (grid.n + 1) * h
+    margin = _wall_margin(n_levels)
     lowest = MAGNETIC_LENGTH_SPACINGS * h
-    highest = grid.length / MAGNETIC_LENGTH_BOX_DIVISOR
+    highest = wall / margin
     if magnetic_length < lowest or magnetic_length > highest:
         raise FieldWindowError(
             f"magnetic length {magnetic_length:.4g} outside "
             f"[{MAGNETIC_LENGTH_SPACINGS:g}h = {lowest:.4g}, "
-            f"L/{MAGNETIC_LENGTH_BOX_DIVISOR:g} = {highest:.4g}]"
+            f"wall/sqrt(2*{n_levels}+6) = {highest:.4g}]: {n_levels} levels need the "
+            f"wall (n+1)h/2 = {wall:.4g} at least {margin:.4g} magnetic lengths away"
         )
-    n = grid.n
-    degeneracy = grid.length**2 / (2.0 * np.pi * magnetic_length**2)
-    k = int(np.ceil(n_levels * degeneracy + 3 * n_levels + 10))
-    certifiable = 4 * _sector_cap(n) - 1
-    if k > certifiable:
-        raise GridResolutionError(
-            f"{n_levels} levels need k = {k} eigenpairs, more than the n^2 - 9 = "
-            f"{certifiable} the sector solve of a {n}x{n} grid certifies; lower n_levels")
-    ham = _landau_hamiltonian(b_field, grid, params)
-    orbits = _rotation_orbits(n)
-    commutator, reflection = _symmetry_defects(ham, orbits)
-    out = {
+    step = 2.0 * np.pi * magnetic_length**2 / grid.length  # between neighbouring centres
+    outermost = int((wall - margin * magnetic_length) // step)
+    j = np.array([-1, 0, 1]) * max(outermost, 1)
+    spectra = np.linalg.eigvalsh(
+        _landau_blocks(b_field, grid, params, 2.0 * np.pi * j / grid.length))
+    low, axis, high = spectra
+    levels = axis[:n_levels]
+    spread = None
+    if outermost:
+        spread = (np.ptp(spectra[:, :n_levels], axis=0) / levels).tolist()
+    return {
         "magnetic_length": float(magnetic_length),
-        "commutator": commutator,
-        "reflection": reflection,
+        "levels": levels.tolist(),
+        "outermost_centre": float(outermost * step) if outermost else None,
+        "spread": spread,
+        "mirror": float(np.abs(high - low).max() / np.abs(axis).max()),
     }
-    if commutator != 0.0 or reflection != 0.0:
-        return out | {"levels": None, "below_shift": None}
-
-    values, weights, below_shift = _sector_lowest(ham, orbits, k, -(-k // 4) + 6)
-
-    # Orbit q lies at the radius of its quadrant cell (i, j), i and j < n/2.
-    squares = _cell_centers(grid)[:n // 2] ** 2
-    radius = np.sqrt(np.add.outer(squares, squares)).ravel()
-    levels = _bulk_levels(values, radius @ weights, grid.length, n_levels)
-    if len(levels) < n_levels:
-        raise GridResolutionError(
-            f"found only {len(levels)} bulk level clusters among {values.size} eigenvalues "
-            f"at magnetic length {magnetic_length:.4g}, grid spacing h = {h:.4g} and box "
-            f"side L = {grid.length:.4g}")
-    return out | {"levels": levels, "below_shift": below_shift}
-
-
-def _bulk_levels(values: np.ndarray, mean_radius: np.ndarray, length: float,
-                 n_levels: int) -> list:
-    """The n_levels lowest bulk levels (fewer when fewer are found) among
-    ascending eigenvalues whose states have the given mean radii, each at its
-    most compact member."""
-    compact = mean_radius <= COMPACT_RADIUS_FRACTION * length
-    bulk_values = values[compact]
-    bulk_radii = mean_radius[compact]
-    if bulk_values.size == 0:
-        raise GridResolutionError(
-            "no compact eigenstates found; enlarge the box relative to the "
-            "magnetic length"
-        )
-    cuts = np.flatnonzero(
-        np.diff(bulk_values) > CLUSTER_REL_GAP * np.abs(bulk_values[1:])) + 1
-    return [float(v[np.argmin(r)]) for v, r in
-            zip(np.split(bulk_values, cuts)[:n_levels], np.split(bulk_radii, cuts))]
 
 
 def export_csv(f: WaveField, path) -> None:

@@ -10,9 +10,17 @@ because OpenBLAS picks its kernels by CPU.  Measured on one machine over 18
 OPENBLAS_CORETYPE settings, from Katmai, Prescott and Core2 to Haswell, Zen,
 SkylakeX and SapphireRapids:
 
-- the ARPACK Landau solve moved level energies by up to 4.5e-15, the spacing
-  ratio by up to 3.1e-14 and the level errors (about 1e-3) by up to 1.5e-12
-  relative: every `landau` value has bound 1e-10;
+- the Landau solve, LAPACK syevd on each k_y block through numpy's
+  eigvalsh, has an absolute eigenvalue error of a few eps times the block's
+  largest eigenvalue, so every value it feeds moves by a share of the
+  largest eigenvalue, not of itself.  Over 20 OPENBLAS_CORETYPE settings,
+  each at the default thread count, 1 and 2 threads, the level energies
+  moved by up to 8.5e-14 relative, and the dimensionless check values (level
+  errors about 1e-5 to 1e-3, degeneracy spreads about 1e-6 to 1e-3, the
+  mirror residual about 2e-15, the spacing ratio about 2) by up to 1.8e-13
+  absolute, which is up to 3e-9 of a level error and 0.9 of the mirror
+  residual.  Every `landau` parameter has relative bound 1e-12, and every
+  `landau` check value moves by at most 1e-12 * max(|value|, 1);
 - the rounding-level residuals formed by 2x2 matrix products (numpy's
   matmul calls BLAS), the three matrix-exponential checks of `algebra` (up
   to 0.17 relative) and the Dirac residuals of `spinor` (up to 0.053), moved
@@ -72,7 +80,7 @@ ARGV = [
 ]
 
 
-LANDAU_RELATIVE_BOUND = 1e-10
+LANDAU_BOUND = 1e-12
 RESIDUAL_RELATIVE_BOUND = 0.5
 # (command, check name) -> relative bound; all other values are bit for bit.
 CHECK_RELATIVE_BOUNDS = dict.fromkeys([
@@ -85,7 +93,7 @@ CHECK_RELATIVE_BOUNDS = dict.fromkeys([
 
 def _bound(command: str, group: tuple) -> float:
     if command == "landau":
-        return LANDAU_RELATIVE_BOUND
+        return LANDAU_BOUND
     if group[0] != "checks":
         return 0.0
     return CHECK_RELATIVE_BOUNDS.get((command, group[1]), 0.0)
@@ -105,16 +113,20 @@ def _leaves(value, path=()):
         yield path, value
 
 
-def _relative_move(old, new) -> float:
-    """|new - old| / |old|, or inf unless both are finite floats and old != 0."""
-    if not all(isinstance(v, float) and math.isfinite(v) for v in (old, new)) or not old:
+def _relative_move(old, new, floor: float = 0.0) -> float:
+    """|new - old| / max(|old|, floor), or inf unless both are finite floats
+    and that denominator is not 0."""
+    if (not all(isinstance(v, float) and math.isfinite(v) for v in (old, new))
+            or not max(abs(old), floor)):
         return math.inf
-    return abs(new - old) / abs(old)
+    return abs(new - old) / max(abs(old), floor)
 
 
 def _moves(old: dict, new: dict) -> dict:
     """Largest relative move per check or parameter (("checks", name) or
-    ("parameters", key)) over the leaves whose JSON text differs."""
+    ("parameters", key)) over the leaves whose JSON text differs.  A `landau`
+    check value moves relative to max(|value|, 1)."""
+    floor = 1.0 if old["command"] == "landau" else 0.0
     before, after = dict(_leaves(old)), dict(_leaves(new))
     moves = {}
     for path in before.keys() | after.keys():
@@ -122,7 +134,8 @@ def _moves(old: dict, new: dict) -> dict:
         if path in before and path in after and json.dumps(a) == json.dumps(b):
             continue
         group = path[:2]
-        moves[group] = max(moves.get(group, 0.0), _relative_move(a, b))
+        moves[group] = max(moves.get(group, 0.0),
+                           _relative_move(a, b, floor if group[0] == "checks" else 0.0))
     return moves
 
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 import planardirac
 from planardirac import cli, fock, planewave
@@ -407,158 +406,111 @@ class TestFockReport:
         assert len(calls) <= products
 
 
+MIRROR = "spectrum(k_y) = spectrum(-k_y), x -> -x mirror"
+
+
 class TestLandauReport:
     @pytest.fixture
     def solver(self, monkeypatch):
-        """The eigensolve work the test makes: "k", the k of each nonrel.eigsh
-        call in call order, and the SuperLU "factorizations" (nonrel.splu
-        calls) and "solves" (their solve calls, one per shift-invert step)."""
-        work = {"k": [], "factorizations": 0, "solves": 0}
-        eigsh, splu = cli.nonrel.eigsh, cli.nonrel.splu
+        """The eigensolve work the test makes: the number of blocks (solved
+        guiding centres) of each np.linalg.eigvalsh call, in call order."""
+        centres = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda blocks: centres.append(len(blocks)) or eigvalsh(blocks))
+        return centres
 
-        class CountedLU:
-            def __init__(self, lu):
-                self.lu = lu
-
-            def __getattr__(self, name):
-                return getattr(self.lu, name)
-
-            def solve(self, rhs):
-                work["solves"] += 1
-                return self.lu.solve(rhs)
-
-        def counted_splu(*args, **kwargs):
-            work["factorizations"] += 1
-            return CountedLU(splu(*args, **kwargs))
-
-        monkeypatch.setattr(cli.nonrel, "eigsh",
-                            lambda *a, **kw: work["k"].append(kw["k"]) or eigsh(*a, **kw))
-        monkeypatch.setattr(cli.nonrel, "splu", counted_splu)
-        return work
-
-    def test_inertia_check_alongside_unchanged_checks(self, capsys):
+    def test_check_names_and_bounds(self, capsys):
+        """At grid 32 the one solve reports the mirror, the three levels and
+        their spread over the centres 0 and +-2 steps of 2 pi l_B^2 / L."""
         code, out, _ = run_main(["--json", "landau", "--grid", "32"], capsys)
         assert code == 0
         checks = json.loads(out)["checks"]
-        inertia = [c for c in checks if "Sylvester inertia" in c["name"]]
-        assert [c["name"] for c in inertia] == [
-            "eigenvalues below the shift (Sylvester inertia)"]
-        assert inertia[0]["measured"] == 0.0
-        assert inertia[0]["passed"]
-        others = [(c["name"], c["expected"], c["tolerance"])
-                  for c in checks if c not in inertia]
-        assert others == [("rotation R commutes with H (C4 sectors)", "<= 0", 0.0),
-                          ("K·D symmetry of the C4 blocks", "<= 0", 0.0)] + [
-            (f"level {j} vs hbar*w_c*(n+1/2)", "<= 0.02", 0.02) for j in range(3)]
-        assert checks[0]["measured"] == checks[1]["measured"] == 0.0
+        spread = "spread over guiding centres 0, +-2.513"
+        assert [(c["name"], c["expected"], c["tolerance"]) for c in checks] == [
+            (MIRROR, "<= 1e-12", 1e-12)] + [
+            (f"level {j} vs hbar*w_c*(n+1/2)", "<= 0.02", 0.02) for j in range(3)] + [
+            (f"level {j} {spread}", "<= 0.002", 2e-3) for j in range(3)]
+        assert all(c["passed"] for c in checks)
 
     @pytest.mark.parametrize("box", ["0.1", "17.3"])
-    def test_box_that_is_not_dyadic_solves_sectors(self, box, capsys):
-        """Cell centres are exactly antisymmetric at any box side, so R
-        commutes with H bit for bit and the sectors are solved."""
+    def test_box_that_is_not_dyadic_keeps_the_mirror(self, box, capsys):
+        """Cell centres are exactly antisymmetric at any box side, so H(-k_y)
+        is H(k_y) reversed bit for bit and the spectra agree to rounding."""
         code, out, _ = run_main(["--json", "landau", "--grid", "32", "--box", box], capsys)
         assert code == 0
         by_name = {c["name"]: c for c in json.loads(out)["checks"]}
-        assert by_name["rotation R commutes with H (C4 sectors)"]["measured"] == 0.0
-        assert by_name["eigenvalues below the shift (Sylvester inertia)"]["passed"]
+        assert by_name[MIRROR]["measured"] <= 1e-14
 
-    def test_gauge_without_c4_symmetry_fails_commutator(self, capsys, monkeypatch):
-        """The Landau gauge A = (-B y, 0), reached from the symmetric gauge by
-        the gauge function chi = -B x y / 2, has the same spectrum but neither
-        C4 nor K*D symmetry: the report fails on both and shows no level."""
+    def test_assembly_odd_under_mirror_fails_mirror_check(self, capsys, monkeypatch):
+        """A potential eps x, odd under x -> -x, breaks the mirror: the run
+        exits 1 on that named check without a traceback, its levels within
+        bound (eps moves them at second order)."""
         nonrel = cli.nonrel
-        symmetric = nonrel._landau_hamiltonian
+        blocks = nonrel._landau_blocks
 
-        def landau_gauge(b_field, grid, params):
-            x = nonrel._cell_centers(grid)
-            chi = -0.5 * b_field * np.multiply.outer(x, x).ravel()
-            phase = sparse.diags(np.exp(1j * params.e * chi / params.hbar))
-            return (phase.conj() @ symmetric(b_field, grid, params) @ phase).tocsr()
+        def odd_under_mirror(b_field, grid, params, k_y):
+            tilted = blocks(b_field, grid, params, k_y)
+            diagonal = np.arange(grid.n)
+            tilted[:, diagonal, diagonal] += 1e-6 * nonrel._cell_centers(grid)
+            return tilted
 
-        monkeypatch.setattr(nonrel, "_landau_hamiltonian", landau_gauge)
-        code, out, _ = run_main(["--json", "landau", "--grid", "32"], capsys)
-        assert code == 1
-        checks = json.loads(out)["checks"]
-        assert [(c["name"], c["passed"]) for c in checks] == [
-            ("rotation R commutes with H (C4 sectors)", False),
-            ("K·D symmetry of the C4 blocks", False)]
-        assert checks[0]["measured"] > 0.0 and checks[1]["measured"] > 0.0
-
-    def test_potential_odd_under_reflection_fails_kd_check(self, capsys, monkeypatch,
-                                                             solver):
-        """A real diagonal eps r^2 sin(4 theta) = 4 eps x y (x^2 - y^2) / r^2 is
-        C4-symmetric but odd under the diagonal reflection D: R still commutes
-        with H exactly, the K*D check fails, no block is solved, and the run
-        exits 1 on that named check without a traceback."""
-        nonrel = cli.nonrel
-        symmetric = nonrel._landau_hamiltonian
-
-        def odd_under_reflection(b_field, grid, params):
-            x, y = np.meshgrid(nonrel._cell_centers(grid), nonrel._cell_centers(grid),
-                               indexing="ij")
-            odd = 1e-6 * 4.0 * x * y * (x * x - y * y) / (x * x + y * y)
-            return (symmetric(b_field, grid, params) + sparse.diags(odd.ravel())).tocsr()
-
-        monkeypatch.setattr(nonrel, "_landau_hamiltonian", odd_under_reflection)
+        monkeypatch.setattr(nonrel, "_landau_blocks", odd_under_mirror)
         code, out, err = run_main(["--json", "landau", "--grid", "32"], capsys)
         assert code == 1
         assert "CHECK FAILURES" in err and "Traceback" not in err
-        checks = json.loads(out)["checks"]
-        assert [(c["name"], c["passed"]) for c in checks] == [
-            ("rotation R commutes with H (C4 sectors)", True),
-            ("K·D symmetry of the C4 blocks", False)]
-        assert checks[0]["measured"] == 0.0 and checks[1]["measured"] > 0.0
-        assert solver == {"k": [], "factorizations": 0, "solves": 0}
+        failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == [MIRROR]
+        assert failed[0]["measured"] > 1e-8
 
-    @pytest.mark.parametrize("args,message,solved", [
-        pytest.param(["--levels", "20"], "found only 3 bulk level clusters among 389 "
-                     "eigenvalues at magnetic length 2,", True, id="20"),
-        pytest.param(["--levels", "64"], "64 levels need k = 1221 eigenpairs, more than "
-                     "the n^2 - 9 = 1015", False, id="64"),
-        pytest.param(["--B", "0.2821223263217904", "--levels", "48"], "48 levels need "
-                     "k = 1017 eigenpairs, more than the n^2 - 9 = 1015", False, id="48"),
+    def test_centres_near_the_wall_fail_the_spread_check(self, capsys, monkeypatch):
+        """Kept one magnetic length from the wall instead of sqrt(12), the
+        outermost centres' levels are lifted by the wall, and the spread
+        checks fail while the axis levels still pass."""
+        monkeypatch.setattr(cli.nonrel, "_wall_margin", lambda n_levels: 1.0)
+        code, out, _ = run_main(["--json", "landau", "--grid", "32"], capsys)
+        assert code == 1
+        failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+        assert failed and all("spread over guiding centres" in name for name in failed)
+
+    @pytest.mark.parametrize("args,message", [
+        pytest.param(["--levels", "20"], "magnetic length 2 outside [3h = 1.875, "
+                     "wall/sqrt(2*20+6) = 1.52]", id="20"),
+        pytest.param(["--levels", "64"], "magnetic length 2 outside [3h = 1.875, "
+                     "wall/sqrt(2*64+6) = 0.8909]", id="64"),
+        pytest.param(["--B", "0.2821223263217904", "--levels", "48"], "magnetic length "
+                     "1.883 outside [3h = 1.875, wall/sqrt(2*48+6) = 1.021]", id="48"),
     ])
-    def test_too_many_levels_exit_two(self, args, message, solved, capsys, solver):
-        """More levels than the grid-32 box holds is a usage error: found
-        after the solve at 20 levels, and refused before any eigensolve where
-        k exceeds the n*n - 9 values the four C4 blocks, at n*n/4 - 2 pairs
-        each, can certify: k = 1221 at 64 levels, and k = 1017, just above
-        that bound, at 48 levels in a stronger field."""
+    def test_too_many_levels_exit_two(self, args, message, capsys, solver):
+        """More levels than the grid-32 box holds is a usage error, refused
+        before any eigensolve: the top level would not clear the wall from the
+        axis, (n + 1) h / 2 = 10.31 away."""
         code, _, err = run_main(["landau", "--grid", "32", *args], capsys)
         assert code == 2
         assert message in err
-        assert bool(solver["k"]) == solved
-        assert max(solver["k"], default=0) <= 32 * 32 // 4 - 2
-
-    def test_uncertified_shift_is_failed_check(self, capsys, monkeypatch):
-        solve = cli.nonrel.landau_levels
-        monkeypatch.setattr(cli.nonrel, "landau_levels",
-                            lambda *a, **kw: solve(*a, **kw) | {"below_shift": None})
-        code, _, err = run_main(["landau", "--grid", "32"], capsys)
-        assert code == 1
-        assert "inertia unknown" in err
+        assert solver == []
 
     def test_doubled_solve_follows_the_field_window(self, capsys, monkeypatch):
         """The doubled-B solve runs exactly where landau_levels accepts 2B:
-        only nonrel reads the window's constants, and cli tries 2B by calling
-        it.  At grid 64, box 20, the default magnetic length 2 lies inside
-        [5h, L/6] = [1.5625, 3.33] but 2/sqrt(2) does not, so the report has
-        no B-doubled check."""
+        only nonrel reads the window's rules, and cli tries 2B by calling it.
+        At grid 64, box 20, the default magnetic length 2 lies inside
+        [5h, wall/sqrt(12)] = [1.5625, 2.93] but 2/sqrt(2) does not, so the
+        report has no B-doubled check."""
         monkeypatch.setattr(cli.nonrel, "MAGNETIC_LENGTH_SPACINGS", 5.0)
         code, out, _ = run_main(["--json", "landau", "--grid", "64"], capsys)
         assert code == 0
         names = [c["name"] for c in json.loads(out)["checks"]]
-        assert len(names) == 6 and not any("B doubled" in name for name in names)
+        assert len(names) == 7 and not any("B doubled" in name for name in names)
         with pytest.raises(cli.nonrel.FieldWindowError, match=r"\[5h = 1.562,"):
             cli.nonrel.landau_levels(0.5, cli.nonrel.Grid2D(64, 20.0))
-        monkeypatch.setattr(cli.nonrel, "MAGNETIC_LENGTH_BOX_DIVISOR", 12.0)
+        monkeypatch.setattr(cli.nonrel, "_wall_margin", lambda n_levels: 6.0)
         code, _, err = run_main(["landau", "--grid", "64"], capsys)
         assert code == 2
-        assert "magnetic length 2 outside [5h = 1.562, L/12 = 1.667]" in err
+        assert "magnetic length 2 outside [5h = 1.562, wall/sqrt(2*3+6) = 1.693]" in err
 
     @pytest.mark.parametrize("box,b_field,checks", [
-        pytest.param("15.922340829493187", "0.224395229254035", 5, id="2B-refused"),
-        pytest.param("26.085288443203503", "0.08360575339369514", 11, id="2B-accepted"),
+        pytest.param("15.922340829493187", "0.224395229254035", 3, id="2B-refused"),
+        pytest.param("26.085288443203503", "0.08360575339369514", 9, id="2B-accepted"),
     ])
     def test_doubled_field_at_the_window_edge(self, box, b_field, checks, capsys):
         """Where 2B puts the magnetic length at 3h to rounding, the report
@@ -570,7 +522,7 @@ class TestLandauReport:
         assert code == 0
         names = [c["name"] for c in json.loads(out)["checks"]]
         assert len(names) == checks
-        assert any("B doubled" in name for name in names) == (checks == 11)
+        assert any("B doubled" in name for name in names) == (checks == 9)
 
     def test_doubled_checks_iff_window_accepts_2b(self, capsys):
         """A nextafter sweep of B across the field whose 2B has magnetic
@@ -597,25 +549,42 @@ class TestLandauReport:
             assert any("B doubled" in name for name in names) == accepted, b_field
         assert seen == {True, False}
 
-    @pytest.mark.parametrize("args,calls,total_k,solves", [
-        pytest.param(["--grid", "32"], 4, 92, 342, id="32"),
-        pytest.param(["--grid", "64"], 8, 196, 730, id="64"),
-        pytest.param(["--grid", "64", "--B", "0.5"], 8, 308, 1076, id="64-B0.5"),
+    @pytest.mark.parametrize("grid", [32, 64, 128])
+    def test_every_field_in_the_window_passes(self, grid, capsys):
+        """B at every multiple of 0.05 inside the field window at box 20 and
+        three levels, 3, 20 and 89 fields at grids 32, 64 and 128: each run
+        exits 0, at the window's top (the wall lifts level 2 most) and at its
+        bottom (the stencil resolves l_B = 3h worst) alike."""
+        window = []
+        for step in range(1, 100):
+            try:
+                cli.nonrel.landau_levels(0.05 * step, cli.nonrel.Grid2D(grid, 20.0))
+            except cli.nonrel.FieldWindowError:
+                continue
+            window.append(step)
+        assert len(window) == {32: 3, 64: 20, 128: 89}[grid]
+        for step in window:
+            code, _, err = run_main(["landau", "--grid", str(grid), "--B", repr(0.05 * step)],
+                                    capsys)
+            assert code == 0, (step, err)
+
+    @pytest.mark.parametrize("argvs,calls,centres", [
+        pytest.param([["--grid", "32"]], 1, 3, id="32"),
+        pytest.param([["--grid", "64"]], 2, 6, id="64"),
+        pytest.param([["--grid", "64", "--B", "0.5"]], 2, 6, id="64-B0.5"),
+        pytest.param([["--grid", "32"], ["--grid", "64"]], 3, 9, id="nonrel-pass"),
     ])
-    def test_eigensolves_do_not_grow(self, args, calls, total_k, solves, capsys, solver):
-        """Upper bounds on the eigsh calls, their total k and the SuperLU
-        solves behind them, at their measured values: one eigsh call and one
-        factorization per C4 sector per field, four at grid 32, where the
-        default magnetic length 2 over sqrt(2) is below 3h and 2B is refused,
-        and eight at grid 64, where 2B is solved too; 342, 730 and 1076
-        shift-invert solves.  Grids 32 and 64 together are the benchmark's
-        nonrel pass: 12 calls, k 288."""
-        code, _, _ = run_main(["landau", *args], capsys)
-        assert code in (0, 1)
-        assert len(solver["k"]) <= calls
-        assert solver["factorizations"] <= calls
-        assert sum(solver["k"]) <= total_k
-        assert solver["solves"] <= solves
+    def test_eigensolves_do_not_grow(self, argvs, calls, centres, capsys, solver):
+        """Upper bounds on the eigvalsh calls and the guiding centres they
+        solve, at their measured values: one batched call of three centres
+        per field, one field at grid 32, where the default magnetic length 2
+        over sqrt(2) is below 3h and 2B is refused, and two at grid 64, where
+        2B is solved too.  Grids 32 and 64 together are the benchmark's
+        nonrel pass."""
+        for args in argvs:
+            assert run_main(["landau", *args], capsys)[0] == 0
+        assert len(solver) <= calls
+        assert sum(solver) <= centres
 
 
 class TestEvolveCommand:
