@@ -434,9 +434,10 @@ class TestLandauReport:
         assert all(c["passed"] for c in checks)
 
     @pytest.mark.parametrize("box", ["0.1", "17.3"])
-    def test_box_that_is_not_dyadic_keeps_the_mirror(self, box, capsys):
-        """Cell centres are exactly antisymmetric at any box side, so H(-k_y)
-        is H(k_y) reversed bit for bit and the spectra agree to rounding."""
+    def test_box_that_is_not_dyadic_solves_sectors(self, box, capsys):
+        """Cell centres are exactly antisymmetric at any box side, so the k_y
+        sector H(-k_y) is H(k_y) reversed bit for bit, the sectors are solved
+        and their spectra agree to rounding."""
         code, out, _ = run_main(["--json", "landau", "--grid", "32", "--box", box], capsys)
         assert code == 0
         by_name = {c["name"]: c for c in json.loads(out)["checks"]}

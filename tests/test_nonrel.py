@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import eigsh
 
 from planardirac import nonrel as nr
 from planardirac.algebra import matrix_exponential, pauli
@@ -734,6 +735,32 @@ def level_errors(result, b_field, params=NATURAL):
             for j, level in enumerate(result["levels"])]
 
 
+def cylinder_operator(b_field, grid, params):
+    """The independent reference for the Landau-gauge solve, sparse: the 2-D
+    operator (1/2m)[px^2 + (py + e B x)^2] on the n x n grid, row i_x n +
+    i_y, px^2 the five-point Dirichlet stencil in x on the cell centres and
+    py = -i hbar F^-1 diag(i k) F the spectral derivative on the periodic y
+    axis, y_j = j h."""
+    n = grid.n
+    eye = sparse.identity(n, format="csr")
+    d4 = sparse.diags([np.full(n - abs(o), w) for o, w in zip(range(-2, 3),
+                                                                (-1.0, 16.0, -30.0, 16.0, -1.0))],
+                      range(-2, 3))
+    dft = np.fft.fft(np.eye(n), axis=0)
+    py = -1j * params.hbar * (np.linalg.inv(dft) @ np.diag(1j * grid.wavenumber_axis()) @ dft)
+    coupled = sparse.kron(eye, py) + params.e * b_field * sparse.kron(
+        sparse.diags(nr._cell_centers(grid)), eye)
+    kinetic = -params.hbar**2 / (12.0 * grid.spacing**2) * sparse.kron(d4, eye)
+    return ((kinetic + coupled @ coupled) / (2 * params.m)).tocsc()
+
+
+def plane_wave_basis(grid, k_y):
+    """Columns e_i (x) e^(i k_y y)/sqrt(n), i over the cell centres: the k_y
+    sector of cylinder_operator."""
+    wave = np.exp(1j * k_y * np.arange(grid.n) * grid.spacing) / np.sqrt(grid.n)
+    return np.kron(np.eye(grid.n), wave[:, np.newaxis])
+
+
 class TestLandauLevels:
     def test_small_grid_levels(self):
         """N = 32 box with magnetic length 3.2 cells: two levels inside 2%."""
@@ -857,29 +884,22 @@ class TestLandauLevels:
     @pytest.mark.parametrize("n, box, b_field", [(8, 4.0, 1.0), (8, 17.3, 0.3),
                                                  (16, 6.0, 0.7)])
     def test_block_spectra_are_the_2d_spectrum(self, n, box, b_field, params):
-        """The independent reference: the dense 2-D Landau-gauge operator
-        (1/2m)[px^2 + (py + e B x)^2] on the n x n grid, px^2 the five-point
-        Dirichlet stencil in x and py = -i hbar F^-1 diag(i k) F the spectral
-        derivative on the periodic y axis, has as its spectrum the sorted
+        """The independent reference: the 2-D Landau-gauge operator
+        (cylinder_operator), solved densely, has as its spectrum the sorted
         union of the blocks' spectra over the n wavenumbers k_y = 2 pi j / L."""
         grid = nr.Grid2D(n, box)
-        eye = np.eye(n)
-        d4 = sum(w * np.eye(n, k=o) for o, w in zip(range(-2, 3), (-1, 16, -30, 16, -1)))
         k = grid.wavenumber_axis()
-        dft = np.fft.fft(eye, axis=0)
-        py = -1j * params.hbar * (np.linalg.inv(dft) @ np.diag(1j * k) @ dft)
-        coupled = np.kron(eye, py) + params.e * b_field * np.kron(
-            np.diag(nr._cell_centers(grid)), eye)
-        ham = (-params.hbar**2 / (12.0 * grid.spacing**2) * np.kron(d4, eye)
-               + coupled @ coupled) / (2 * params.m)
-        dense = np.linalg.eigvalsh(ham)
+        dense = np.linalg.eigvalsh(cylinder_operator(b_field, grid, params).toarray())
         union = np.sort(np.linalg.eigvalsh(nr._landau_blocks(b_field, grid, params, k)).ravel())
         assert np.abs(dense - union).max() <= 1e-12 * np.abs(dense).max()
 
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("box", [0.1, 17.3, 1e-3 / 3.0, 2e5 / 7.0])
-    def test_mirror_is_exact_at_any_box(self, n, box):
-        """Cell centres are antisymmetric bit for bit also where (j + 1/2) h
+    def test_rotation_commutes_exactly_at_any_box(self, n, box):
+        """The rotation by pi, (x, y) -> (-x, -y), leaves the Landau gauge
+        A = (0, Bx) as it is (A -> -A(-r) = A), so it commutes with H; on the
+        cylinder it takes the cell centre x_i to x_(n-1-i) and k_y to -k_y.
+        Cell centres are antisymmetric bit for bit also where (j + 1/2) h
         rounds, so H(-k_y) is H(k_y) reversed in x bit for bit at any box
         side, and the two spectra differ only by rounding."""
         grid = nr.Grid2D(n, box)
@@ -907,6 +927,165 @@ class TestLandauLevels:
         assert np.abs(np.array(scaled["levels"]) / quantum
                       - np.array(natural["levels"]) / 0.25).max() <= 1e-11
         assert np.abs(np.array(scaled["spread"]) - natural["spread"]).max() <= 1e-11
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_sector_blocks_are_projections(self, n):
+        """Each block _landau_blocks assembles is V_k^H H V_k, H the 2-D
+        cylinder operator and V_k its k_y sector (plane_wave_basis), and H
+        couples no two sectors: in the basis of all n sectors it is block
+        diagonal to rounding."""
+        grid = nr.Grid2D(n, 4.0)
+        k = grid.wavenumber_axis()
+        dense = cylinder_operator(1.0, grid, NATURAL).toarray()
+        basis = np.hstack([plane_wave_basis(grid, k_y) for k_y in k])
+        projected = basis.conj().T @ dense @ basis
+        bound = 8 * np.finfo(float).eps * np.abs(dense).max()
+        in_sector = np.kron(np.eye(n), np.ones((n, n))) == 1
+        assert np.abs(projected[~in_sector]).max() <= bound
+        blocks = nr._landau_blocks(1.0, grid, NATURAL, k)
+        for m, block in enumerate(blocks):
+            rows = slice(m * n, (m + 1) * n)
+            assert np.abs(projected[rows, rows] - block).max() <= bound
+
+    @pytest.mark.parametrize("params", [NATURAL, SCALED], ids=["natural", "scaled"])
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_real_blocks_are_reflection_projections(self, n, params):
+        """The 2-D operator commutes with T = K D_y, complex conjugation
+        times the reflection y -> -y, which fixes each plane wave e^(i k_y
+        y); so the projection onto each k_y sector, the Nyquist one too, has
+        an imaginary part at rounding, and the block the solve takes is
+        its real part: float64 and symmetric bit for bit."""
+        grid = nr.Grid2D(n, 4.0)
+        dense = cylinder_operator(1.0, grid, params).toarray()
+        reflect = np.kron(np.eye(n), np.eye(n)[-np.arange(n) % n])
+        bound = 8 * np.finfo(float).eps * np.abs(dense).max()
+        assert np.abs(reflect @ dense.conj() @ reflect - dense).max() <= bound
+        k = grid.wavenumber_axis()
+        for k_y, block in zip(k, nr._landau_blocks(1.0, grid, params, k)):
+            basis = plane_wave_basis(grid, k_y)
+            projected = basis.conj().T @ dense @ basis
+            assert np.abs(projected.imag).max() <= bound
+            assert np.abs(projected.real - block).max() <= bound
+            assert block.dtype == np.float64 and np.array_equal(block, block.T)
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("b_field, n_levels, k", [(0.25, 3, 67), (0.5, 2, 80)])
+    def test_sector_solve_matches_full_solve(self, n, b_field, n_levels, k):
+        """The k_y sectors are the whole cylinder: the k lowest eigenvalues of
+        the 2-D operator at box 20, solved as one sparse problem by ARPACK
+        shift-invert about 0 from a fixed start vector, are the k lowest of
+        the union of the n sector blocks' spectra, and every level that
+        landau_levels reports is one of them (the k-th lies at 4.5 and 2.5
+        hbar w_c, above the top level solved)."""
+        grid = nr.Grid2D(n, 20.0)
+        start = np.random.default_rng(0).standard_normal(n * n)
+        full = np.sort(eigsh(cylinder_operator(b_field, grid, NATURAL), k, sigma=0.0,
+                             v0=start, return_eigenvectors=False))
+        union = np.sort(np.linalg.eigvalsh(
+            nr._landau_blocks(b_field, grid, NATURAL, grid.wavenumber_axis())).ravel())
+        cyclotron_quantum = NATURAL.hbar * NATURAL.e * b_field / NATURAL.m
+        assert np.abs(full - union[:k]).max() <= 1e-12 * full[-1]
+        if np.sqrt(NATURAL.hbar / (NATURAL.e * b_field)) < 3.0 * grid.spacing:
+            return  # magnetic length below 3 cells: landau_levels refuses the grid
+        assert full[-1] >= 2.5 * cyclotron_quantum
+        for level in nr.landau_levels(b_field, grid, NATURAL, n_levels)["levels"]:
+            assert np.abs(full - level).min() <= 1e-12 * full[-1]
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex-full", "real-block"])
+    def test_repeated_solves_agree_bit_for_bit(self, real):
+        """Two solves agree bit for bit: landau_levels' batched eigvalsh of
+        the real blocks, which the golden files record, and the dense
+        eigvalsh of the complex 2-D operator that the tests take as their
+        reference."""
+        grid = nr.Grid2D(32 if real else 16, 20.0)
+        if real:
+            blocks = nr._landau_blocks(0.25, grid, NATURAL, np.array([-1.0, 0.0, 1.0]))
+            assert blocks.dtype == np.float64
+            first, second = (nr.landau_levels(0.25, grid, NATURAL) for _ in range(2))
+            assert first == second
+        else:
+            dense = cylinder_operator(1.0, grid, NATURAL).toarray()
+            assert dense.dtype == np.complex128
+            assert np.array_equal(np.linalg.eigvalsh(dense), np.linalg.eigvalsh(dense))
+
+    @staticmethod
+    def _loop_bulk_levels(b_field, grid, params, n_levels):
+        """The reference: every guiding centre j whose gap to the wall,
+        wall - |j| 2 pi l_B^2 / L, is at least _wall_margin magnetic lengths,
+        each solved in its own eigvalsh call.  Returns the kept j, the axis
+        levels and, where more than the axis is kept, the spread (max - min
+        over every kept centre) over the axis levels."""
+        magnetic_length = np.sqrt(params.hbar / (params.e * b_field))
+        wall = 0.5 * (grid.n + 1) * grid.spacing
+        step = 2.0 * np.pi * magnetic_length**2 / grid.length
+        bound = nr._wall_margin(n_levels) * magnetic_length
+        reach = int(wall / step) + 1
+        kept = [j for j in range(-reach, reach + 1) if wall - abs(j) * step >= bound]
+        levels = np.array([
+            np.linalg.eigvalsh(nr._landau_blocks(
+                b_field, grid, params, np.array([2.0 * np.pi * j / grid.length])))[0, :n_levels]
+            for j in kept])
+        axis = levels[kept.index(0)]
+        spread = np.ptp(levels, axis=0) / axis if len(kept) > 1 else None
+        return kept, axis, spread
+
+    def _assert_bulk_levels_match_the_loop(self, b_field, grid, n_levels):
+        """landau_levels solves the axis and the outermost kept pair only:
+        its levels are the loop's bit for bit, and its spread the loop's over
+        every kept centre to the levels' rounding (measured at most 4.5e-13
+        over fields at grids 32 to 128), as the wall lifts a level more the
+        nearer its centre lies."""
+        kept, axis, spread = self._loop_bulk_levels(b_field, grid, NATURAL, n_levels)
+        result = nr.landau_levels(b_field, grid, NATURAL, n_levels)
+        assert result["levels"] == axis.tolist()
+        if spread is None:
+            assert result["spread"] is None and result["outermost_centre"] is None
+            return kept
+        step = 2.0 * np.pi * result["magnetic_length"]**2 / grid.length
+        assert result["outermost_centre"] == pytest.approx(max(kept) * step, rel=1e-15)
+        assert np.abs(np.array(result["spread"]) - spread).max() <= 1e-12
+        return kept
+
+    @pytest.mark.parametrize("where", ["single", "ties", "gap-at-bound", "gap-above-bound"])
+    @pytest.mark.parametrize("n_levels", [1, 2, 3])
+    def test_bulk_levels_match_the_loop(self, where, n_levels):
+        """Grid 64, box 20, at four fields: "single", the window's top, where
+        the axis alone is kept; "ties", its bottom l_B = 3h, where most kept
+        centres' level 0 ties with the axis's to 1e-12; "gap-at-bound",
+        where centre 2's gap to the wall is the margin (plus 1e-9 of a
+        step), and "gap-above-bound", half a step more."""
+        grid = nr.Grid2D(64, 20.0)
+        wall = 0.5 * 65 * grid.spacing
+        margin = nr._wall_margin(n_levels)
+        if where in ("single", "ties"):
+            magnetic_length = (wall / margin * (1.0 - 1e-9) if where == "single"
+                               else 3.0 * grid.spacing * (1.0 + 1e-9))
+        else:  # margin l + centres 2 pi l^2 / L = wall, solved for l
+            curvature = 2.0 * np.pi * (2.0 + (1e-9 if where == "gap-at-bound" else 0.5)) / 20.0
+            magnetic_length = (np.sqrt(margin**2 + 4.0 * curvature * wall) - margin) / (
+                2.0 * curvature)
+        b_field = 1.0 / magnetic_length**2
+        kept = self._assert_bulk_levels_match_the_loop(b_field, grid, n_levels)
+        if where != "ties":
+            assert max(kept) == (0 if where == "single" else 2)
+            return
+        lowest = np.linalg.eigvalsh(nr._landau_blocks(
+            b_field, grid, NATURAL, 2.0 * np.pi * np.array(kept) / 20.0))[:, 0]
+        ties = np.abs(lowest / lowest[kept.index(0)] - 1.0) <= 1e-12
+        assert np.count_nonzero(ties) > len(kept) / 2
+
+    def test_bulk_levels_match_the_loop_on_random_spectra(self):
+        """Magnetic lengths drawn across the window at grids 32, 64 and 128,
+        one to five levels."""
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            n, n_levels = int(rng.choice([32, 64, 128])), int(rng.integers(1, 6))
+            grid = nr.Grid2D(n, 20.0)
+            top = 0.5 * (n + 1) * grid.spacing / nr._wall_margin(n_levels)
+            if top < 3.0 * grid.spacing:
+                continue
+            magnetic_length = rng.uniform(3.0 * grid.spacing, top)
+            self._assert_bulk_levels_match_the_loop(1.0 / magnetic_length**2, grid, n_levels)
 
     def test_discretization_is_fourth_order(self):
         """The five-point-stencil levels converge to hbar*w_c*(n+1/2) as h^4:
