@@ -19,10 +19,20 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-# Only perfbench/tracing.py reads eigsh; ROADMAP 1b deletes it; traced nonrel.eigsh_* read 0.
-from scipy.sparse.linalg import eigsh  # noqa: F401
 
 from .planewave import NATURAL_UNITS, Momentum, PhysicalParams
+
+
+def eigsh(*args, **kwargs):
+    """scipy.sparse.linalg.eigsh, imported on the first call.
+
+    Only perfbench/tracing.py names it, and no suite calls it, so the traced
+    nonrel.eigsh_* metrics read 0; ROADMAP 1b deletes it.  Importing scipy's
+    eigsh here, not at module load, keeps scipy.linalg and its OpenBLAS out
+    of every CLI process."""
+    from scipy.sparse.linalg import eigsh as scipy_eigsh
+
+    return scipy_eigsh(*args, **kwargs)
 
 
 class GridResolutionError(ValueError):
@@ -574,6 +584,21 @@ def _wall_margin(n_levels: int) -> float:
     return math.sqrt(2 * n_levels + 6)
 
 
+def _stencil_spacings(n_levels: int) -> float:
+    """The magnetic length, in grid spacings, above which the five-point
+    stencil holds level j = n_levels - 1 within 0.02 of hbar w_c (j + 1/2),
+    the bound of cli's level check.  D4's symbol is k^2 - h^4 k^6 / 90 + ...,
+    so to leading order it lowers level j by (hbar^2 / 2m) h^4 <k^6> / 90,
+    and the oscillator's <k^6> = (5/8)(4j^3 + 6j^2 + 8j + 3) / l_B^6 makes
+    that (5/8)(4j^3 + 6j^2 + 8j + 3) / (180 (j + 1/2)) (h / l_B)^4 of the
+    level.  The leading term overstates the error, so at this edge the
+    levels err by at most 0.0177; it is below MAGNETIC_LENGTH_SPACINGS for
+    n_levels <= 11 and grows as sqrt(n_levels) beyond."""
+    j = n_levels - 1
+    error_at_unit_length = 5.0 * (4 * j**3 + 6 * j**2 + 8 * j + 3) / (8.0 * 180.0 * (j + 0.5))
+    return (error_at_unit_length / 0.02) ** 0.25
+
+
 def _landau_blocks(b_field: float, grid: Grid2D, params: PhysicalParams,
                    k_y: np.ndarray) -> np.ndarray:
     """H(k_y) = -(hbar^2/2m) D4 + diag((hbar k_y + e B x)^2)/2m for each k_y,
@@ -621,9 +646,10 @@ def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = NATURAL
 
     Raises FieldWindowError, before any assembly, when l_B lies outside
     [MAGNETIC_LENGTH_SPACINGS * h, (n + 1) h / (2 _wall_margin(n_levels))],
-    grid spacing h: below, the stencil does not resolve the levels; above,
-    level n_levels - 1 at the axis centre does not clear the wall.  A caller
-    tries a field by calling this.
+    grid spacing h, or below _stencil_spacings(n_levels) * h: below, the
+    stencil does not resolve the levels; above, level n_levels - 1 at the
+    axis centre does not clear the wall.  A caller tries a field by calling
+    this.
     """
     if b_field <= 0:
         raise ValueError("magnetic field strength must be positive")
@@ -641,6 +667,13 @@ def landau_levels(b_field: float, grid: Grid2D, params: PhysicalParams = NATURAL
             f"[{MAGNETIC_LENGTH_SPACINGS:g}h = {lowest:.4g}, "
             f"wall/sqrt(2*{n_levels}+6) = {highest:.4g}]: {n_levels} levels need the "
             f"wall (n+1)h/2 = {wall:.4g} at least {margin:.4g} magnetic lengths away"
+        )
+    resolved = _stencil_spacings(n_levels)
+    if magnetic_length < resolved * h:
+        raise FieldWindowError(
+            f"magnetic length {magnetic_length:.4g} below {resolved:.4g}h = {resolved * h:.4g}: "
+            f"the five-point stencil holds level {n_levels - 1} within 0.02 of "
+            f"hbar*w_c*(n+1/2) only above it"
         )
     step = 2.0 * np.pi * magnetic_length**2 / grid.length  # between neighbouring centres
     outermost = int((wall - margin * magnetic_length) // step)

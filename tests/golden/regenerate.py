@@ -6,9 +6,10 @@ file's argv in-process and requires the same report, floats bit for bit, so
 a change that moves a reported value must show as a diff of this corpus.
 
 Only values that pass through BLAS or LAPACK get a stated relative bound,
-because OpenBLAS picks its kernels by CPU.  Measured on one machine over 18
-OPENBLAS_CORETYPE settings, from Katmai, Prescott and Core2 to Haswell, Zen,
-SkylakeX and SapphireRapids:
+because OpenBLAS picks its kernels by CPU.  Measured on one machine over
+OPENBLAS_CORETYPE settings from Katmai, Prescott and Core2 to Haswell, Zen,
+SkylakeX and SapphireRapids (18 for `spinor`, 20 for `landau`, 23 for
+`algebra`):
 
 - the Landau solve, LAPACK syevd on each k_y block through numpy's
   eigvalsh, has an absolute eigenvalue error of a few eps times the block's
@@ -22,10 +23,15 @@ SkylakeX and SapphireRapids:
   residual.  Every `landau` parameter has relative bound 1e-12, and every
   `landau` check value moves by at most 1e-12 * max(|value|, 1);
 - the rounding-level residuals formed by 2x2 matrix products (numpy's
-  matmul calls BLAS), the three matrix-exponential checks of `algebra` (up
-  to 0.17 relative) and the Dirac residuals of `spinor` (up to 0.053), moved
-  by a sizeable fraction of themselves, since one ulp of an operand is
-  comparable to the residual: bound 0.5.
+  matmul calls BLAS) and the Dirac residuals of `spinor` (up to 0.053)
+  moved by a sizeable fraction of themselves, since one ulp of an operand
+  is comparable to the residual: bound 0.5.  The three matrix-exponential
+  checks of `algebra` are such residuals, and the oracle of "matrix
+  exponential vs eigendecomposition" also runs LAPACK's 2x2 eigh.  Over 23
+  OPENBLAS_CORETYPE settings, Katmai to SapphireRapids and Opteron to Zen,
+  each at the default thread count, 1 and 2 threads, that check read
+  1.355e-15 or, under Haswell and Zen, 1.422e-15 (a move of 0.049), and the
+  unitarity and group-property checks moved by up to 0.0046 and 0.061.
 
 Every other value, including every `evolve` value, the `spinor` determinants
 (LAPACK getrf) and the `fock` state norms (BLAS dot), stayed bit-identical
@@ -86,7 +92,7 @@ RESIDUAL_RELATIVE_BOUND = 0.5
 CHECK_RELATIVE_BOUNDS = dict.fromkeys([
     ("algebra", "matrix exponential unitarity"),
     ("algebra", "matrix exponential group property"),
-    ("algebra", "matrix exponential vs scaling-and-squaring"),
+    ("algebra", "matrix exponential vs eigendecomposition"),
     ("spinor", "dirac residual (u branch)"),
     ("spinor", "dirac residual (v branch)")], RESIDUAL_RELATIVE_BOUND)
 

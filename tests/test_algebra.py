@@ -1,10 +1,13 @@
 """Exactness checks for the 2x2 matrix algebra layer."""
 
+import argparse
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from planardirac import algebra
+from planardirac import algebra, cli
+from planardirac.reporting import RunReport
 
 
 class TestPauli:
@@ -142,6 +145,36 @@ class TestMatrixExponential:
             u = algebra.matrix_exponential(h, phase)
             assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-13
             assert np.abs(u - expm(-1j * phase * h)).max() < 1e-13
+
+    @staticmethod
+    def _algebra_draws(seed):
+        """The (h, t1) pairs that `algebra --seed <seed>` exponentiates, drawn
+        in run_algebra's order after its ten wave-operator symbols."""
+        rng = np.random.default_rng(seed)
+        rng.normal(size=60)  # the symbols' coefficients, 3 complex per draw
+        for _ in range(10):
+            draw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            t1, _ = rng.normal(size=2)
+            yield draw + draw.conj().T, t1
+
+    def test_spectral_oracle_agrees_with_expm(self):
+        """The CLI's oracle, the eigendecomposition exponential, agrees with
+        scipy's scaling-and-squaring within the check's 1e-13 on the draws of
+        `algebra --seed <seed>` at seeds 0..199; the report's oracle value is
+        the closed form's largest deviation from it on those draws, bit for
+        bit, so these are the draws the suite makes."""
+        for seed in range(200):
+            report = RunReport("algebra", {})
+            cli.run_algebra(report, argparse.Namespace(seed=seed))
+            reported = next(c.measured for c in report.checks
+                            if c.name == "matrix exponential vs eigendecomposition")
+            worst = 0.0
+            for h, t in self._algebra_draws(seed):
+                spectral = cli._spectral_exponential(h, t)
+                assert np.abs(spectral - expm(-1j * t * h)).max() < 1e-13, seed
+                worst = max(worst, float(np.abs(
+                    algebra.matrix_exponential(h, t) - spectral).max()))
+            assert reported == worst, seed
 
     def test_group_property(self):
         rng = np.random.default_rng(13)

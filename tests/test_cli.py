@@ -491,6 +491,36 @@ class TestLandauReport:
         assert message in err
         assert solver == []
 
+    def test_levels_the_stencil_does_not_resolve_exit_two(self, capsys, solver):
+        """At l_B = 3.0h on grid 64, the five-point stencil lowers level 11
+        by more than 0.02 of hbar*w_c*(n+1/2): 12 or more levels are refused
+        before any eigensolve, and 11 are solved and pass."""
+        field = ["landau", "--grid", "64", "--B", "1.1377777766400001"]
+        for levels, message in (("54", "below 6.678h = 2.087"), ("12", "below 3.103h = 0.9697")):
+            code, _, err = run_main([*field, "--levels", levels], capsys)
+            assert code == 2
+            assert f"error: magnetic length 0.9375 {message}" in err
+        assert solver == []
+        assert run_main([*field, "--levels", "11"], capsys)[0] == 0
+
+    @pytest.mark.parametrize("grid", [32, 64, 128])
+    def test_every_level_count_passes_at_the_window_bottom(self, grid, capsys):
+        """Just above the window's bottom edge, max(3, _stencil_spacings)
+        grid spacings, every level count whose window is not empty at box 20
+        exits 0: 11, 23 and 48 counts at grids 32, 64 and 128, the edge above
+        3h from 12 levels on."""
+        h = 20.0 / grid
+        counts = []
+        for n_levels in range(1, 80):
+            bottom = max(3.0, cli.nonrel._stencil_spacings(n_levels)) * h * (1.0 + 1e-9)
+            if bottom > 0.5 * (grid + 1) * h / cli.nonrel._wall_margin(n_levels):
+                continue
+            counts.append(n_levels)
+            code, _, err = run_main(["landau", "--grid", str(grid), "--levels", str(n_levels),
+                                     "--B", repr(1.0 / bottom**2)], capsys)
+            assert code == 0, (n_levels, err)
+        assert counts == list(range(1, {32: 12, 64: 24, 128: 49}[grid]))
+
     def test_doubled_solve_follows_the_field_window(self, capsys, monkeypatch):
         """The doubled-B solve runs exactly where landau_levels accepts 2B:
         only nonrel reads the window's rules, and cli tries 2B by calling it.
@@ -728,8 +758,28 @@ class TestBlasThreads:
         env, tasks = _fresh(CLI_THREADS)
         assert env == {"OPENBLAS_NUM_THREADS": "1"}
         if sys.platform.startswith("linux") and (os.cpu_count() or 1) > 1:
-            # numpy's and scipy's OpenBLAS would each start cpu_count - 1 workers.
+            # Unbounded, OpenBLAS would start cpu_count - 1 workers at import.
             assert tasks == 1
+
+    def test_subcommands_load_one_openblas(self):
+        """Running a suite of every layer loads neither scipy.linalg nor
+        scipy.sparse.linalg, so only numpy's OpenBLAS is mapped."""
+        loaded = _fresh(
+            "import contextlib, io, json, os, sys\n"
+            "from planardirac import cli\n"
+            "for argv in (['algebra'], ['spinor', '--kx', '1'], ['fock', '--modes', '1'],\n"
+            "             ['evolve'], ['landau', '--grid', '32']):\n"
+            "    with contextlib.redirect_stderr(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "maps = '/proc/self/maps'\n"
+            "blas = (sorted({line.split()[-1] for line in open(maps) if 'openblas' in line})\n"
+            "        if os.path.exists(maps) else None)\n"
+            "print(json.dumps([[m for m in ('scipy.linalg', 'scipy.sparse.linalg')\n"
+            "                   if m in sys.modules], blas]))")
+        modules, blas = loaded
+        assert modules == []
+        if sys.platform.startswith("linux"):
+            assert len(blas) == 1, blas
 
     @pytest.mark.parametrize("name", ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"])
     def test_user_thread_count_is_kept(self, name):

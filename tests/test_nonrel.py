@@ -798,6 +798,43 @@ class TestLandauLevels:
                            match=rf"wall/sqrt\(2\*{n_levels}\+6\) = {top:.4g}\]"):
             nr.landau_levels(edge * (1 - 1e-9), grid, n_levels=n_levels)
 
+    @pytest.mark.parametrize("n_levels", [12, 20])
+    def test_window_bottom_is_where_the_stencil_resolves_the_top_level(self, n_levels,
+                                                                        monkeypatch):
+        """Above 11 levels the smallest magnetic length solved is
+        _stencil_spacings(n_levels) grid spacings, more than 3: just above,
+        the field is solved and the top level is lowered by less than 0.02;
+        just below, it is refused before any block is assembled."""
+        grid = nr.Grid2D(128, 20.0)
+        bottom = nr._stencil_spacings(n_levels) * grid.spacing
+        assert bottom > 3.0 * grid.spacing
+        edge = NATURAL.hbar / (NATURAL.e * bottom**2)
+        levels = nr.landau_levels(edge * (1 - 1e-9), grid, n_levels=n_levels)["levels"]
+        assert 0.0 < 1.0 - levels[-1] / (edge * (n_levels - 0.5)) < 0.02
+        monkeypatch.setattr(nr, "_landau_blocks", lambda *a: pytest.fail("assembled"))
+        with pytest.raises(nr.FieldWindowError, match=rf"below {bottom / grid.spacing:.4g}h"):
+            nr.landau_levels(edge * (1 + 1e-9), grid, n_levels=n_levels)
+
+    def test_stencil_spacings_derivation(self):
+        """_stencil_spacings' derivation, redone on the oscillator
+        -u''/2 + x^2 u/2 with the five-point stencil at h = 1/r on [-40, 40]:
+        at r = 3 level 10 errs by less than 0.02, so the edge stays 3h to 11
+        levels, and at r = _stencil_spacings(n) the top level n - 1 errs by
+        0.0176 to 0.0177, not the leading term's 0.02."""
+        def top_error(r, n_levels):
+            h = 1.0 / r
+            x = np.arange(-40.0, 40.0 + h / 2, h)
+            kinetic = sum(np.diag(np.full(x.size - abs(offset), -weight / (24.0 * h * h)),
+                                  offset)
+                          for offset, weight in zip(range(-2, 3), nr._D4_WEIGHTS))
+            level = np.linalg.eigvalsh(kinetic + np.diag(0.5 * x**2))[n_levels - 1]
+            return 1.0 - level / (n_levels - 0.5)
+
+        assert max(nr._stencil_spacings(n) for n in range(1, 12)) < 3.0
+        assert 0.0 < top_error(3.0, 11) < 0.02
+        for n_levels in (12, 20, 40, 80):
+            assert 0.0176 <= top_error(nr._stencil_spacings(n_levels), n_levels) <= 0.0177
+
     @staticmethod
     def _half_oscillator(wall, count, h=0.004):
         """The count lowest levels of -u''/2 + x^2 u/2 on [-12, wall],

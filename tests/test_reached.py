@@ -30,7 +30,7 @@ _spec.loader.exec_module(golden)
 UNREACHED = {
     # Wrapped by name by the benchmark's tracer (perfbench/tracing.py).
     "nonrel.build_gaussian", "nonrel.evolve_dirac", "nonrel.evolve_schrodinger",
-    "nonrel.compare_limit", "fock.FockOperator.eigenvalues",
+    "nonrel.compare_limit", "nonrel.eigsh", "fock.FockOperator.eigenvalues",
     # Reached only through those.
     "nonrel._spinor_weights", "nonrel._relative_distance", "nonrel.WaveField.norm",
     "nonrel.WaveField.normalized",
