@@ -205,9 +205,10 @@ def run_fock(report: RunReport, args: argparse.Namespace) -> None:
     ham_prime = fock.normal_ordered_hamiltonian(space)
     report.add(bound_check("H hermiticity", ham.hermiticity_defect(), 1e-14))
     total_omega = sum(modes.omega(i) for i in range(n_modes)) * modes.params.hbar
+    # Relative to the shift: the difference is rounding in energies of that size.
     report.add(bound_check(
         "H = H' - sum(hbar w) I",
-        (ham - (ham_prime - total_omega * space.identity())).max_abs(), 1e-14))
+        (ham - (ham_prime - total_omega * space.identity())).max_abs() / total_omega, 1e-14))
 
     energies = ham_prime.diagonal()
     enumerated = fock.occupation_spectrum(space)
@@ -229,10 +230,12 @@ def run_fock(report: RunReport, args: argparse.Namespace) -> None:
     length = modes.box_side
     anticomm = fock.field_anticommutator(
         space, (0.15 * length, -0.2 * length), (0.4 * length, 0.1 * length), 0.3)
+    # Field anti-commutators scale as 1/L^2; each deviation is read in units of that scale.
     report.add(bound_check("{Psi,Psibar*metric} proportional to identity",
-                           anticomm.max_scalar_deviation, 1e-13))
-    report.add(bound_check("{Psi,Psi} = 0", anticomm.max_plain_deviation, 1e-13))
-    report.add(bound_check("kernel matches mode sum", anticomm.max_kernel_mismatch, 1e-13))
+                           anticomm.max_scalar_deviation * length**2, 1e-13))
+    report.add(bound_check("{Psi,Psi} = 0", anticomm.max_plain_deviation * length**2, 1e-13))
+    report.add(bound_check("kernel matches mode sum",
+                           anticomm.max_kernel_mismatch * length**2, 1e-13))
 
     report.add(bound_check(
         "H assembled from field integral",

@@ -19,12 +19,10 @@ demonstrates by brute-force spatial integration.
 from __future__ import annotations
 
 import collections
-import functools
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .algebra import anticommutator, commutator, pauli
 from .planewave import (
@@ -112,15 +110,29 @@ def default_symmetric_modes(n_modes: int, box_side: float = 2.0 * np.pi,
     return ModeSet(_DEFAULT_INTEGER_MODES[n_modes], box_side, params)
 
 
+def _merged(terms):
+    """Sum (mask, entries) pairs that share a mask, in order."""
+    out = {}
+    for mask, entries in terms:
+        out[mask] = out[mask] + entries if mask in out else entries
+    return out
+
+
 @dataclass
 class FockOperator:
-    """Square CSR operator matrix tied to its FockSpace.
+    """Operator on a FockSpace as a sum of bit-flip terms.
+
+    ``terms[m]`` holds the entries d of the term that flips the basis-index
+    bits m: O[r, r ^ m] = d[r].  A Jordan-Wigner operator is one term, and
+    sums, products and adjoints of terms are terms again: a product of terms
+    a and b is the term a ^ b, and the diagonal is the term 0.  Entry arrays
+    are never written to after construction, so operators share them.
 
     Operators from different spaces refuse to combine; this catches mixed-up
     mode orderings before they silently corrupt a sign string.
     """
 
-    matrix: object
+    terms: dict
     space: "FockSpace"
 
     def _coerce(self, other):
@@ -132,46 +144,56 @@ class FockOperator:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return FockOperator(self.matrix + other.matrix, self.space)
+        return FockOperator(_merged([*self.terms.items(), *other.terms.items()]), self.space)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return FockOperator(self.matrix - other.matrix, self.space)
+        return self + -1.0 * self._coerce(other)
 
     def __mul__(self, scalar):
-        return FockOperator(self.matrix * scalar, self.space)
+        return FockOperator({m: d * scalar for m, d in self.terms.items()}, self.space)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         other = self._coerce(other)
-        return FockOperator(self.matrix @ other.matrix, self.space)
+        index = self.space.index
+        return FockOperator(_merged((a ^ b, da * db[index ^ a])
+                                    for a, da in self.terms.items()
+                                    for b, db in other.terms.items()), self.space)
 
     def dagger(self) -> "FockOperator":
-        return FockOperator(self.matrix.conj().T.tocsr(), self.space)
+        index = self.space.index
+        return FockOperator({m: d[index ^ m].conj() for m, d in self.terms.items()},
+                            self.space)
 
     def max_abs(self) -> float:
-        return float(np.abs(self.matrix.data).max(initial=0.0))
+        return max((float(np.abs(d).max()) for d in self.terms.values()), default=0.0)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
+        index = self.space.index
+        return sum((d * vec[index ^ m] for m, d in self.terms.items()),
+                   np.zeros(self.space.dim, dtype=complex))
 
     def expectation(self, vec: np.ndarray) -> complex:
-        return complex(np.vdot(vec, self.matrix @ vec))
+        return complex(np.vdot(vec, self.apply(vec)))
 
     def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal()
+        return self.terms.get(0, np.zeros(self.space.dim))
 
     def off_diagonal(self) -> "FockOperator":
         """This operator minus its diagonal part in the occupation basis."""
-        return self - FockOperator(sparse.diags(self.diagonal(), format="csr"), self.space)
+        return FockOperator({m: d for m, d in self.terms.items() if m}, self.space)
 
     def trace(self) -> complex:
         return complex(self.diagonal().sum())
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of a Hermitian operator (densifies; small spaces only)."""
-        return np.linalg.eigvalsh(self.matrix.toarray())
+        index = self.space.index
+        dense = np.zeros((self.space.dim, self.space.dim), dtype=complex)
+        for m, d in self.terms.items():
+            dense[index, index ^ m] = d
+        return np.linalg.eigvalsh(dense)
 
     def hermiticity_defect(self) -> float:
         return (self - self.dagger()).max_abs()
@@ -185,8 +207,9 @@ class FockSpace:
     basis-index bit of position j, so position 0 is the most significant bit
     and the vacuum is index 0.  ``occupation`` tabulates that layout once, one
     row of 0/1 per basis state, and every operator and decoding reads it.
-    Operators are sparse at every M, the usual storage for Jordan-Wigner
-    operators (OpenFermion, McClean et al., arXiv:1710.07629).
+    The space keeps each annihilator as the terms of one bit flip (see
+    FockOperator), plain arrays with no reference back to the space; a
+    creator is its annihilator's adjoint.
     """
 
     def __init__(self, modes: ModeSet):
@@ -197,23 +220,15 @@ class FockSpace:
         self.n_modes = n
         self.n_positions = 2 * n
         self.dim = 4**n
+        self.index = np.arange(self.dim)
         self.weights = 1 << (self.n_positions - 1 - np.arange(self.n_positions))
-        self.occupation = ((np.arange(self.dim)[:, None] & self.weights) != 0).astype(np.int64)
-        self._lowering = [self._lowering_matrix(j) for j in range(self.n_positions)]
-        self._raising = [FockOperator(m, self).dagger().matrix for m in self._lowering]
+        self.occupation = ((self.index[:, None] & self.weights) != 0).astype(np.int64)
+        # Annihilator at position j: row r, with the position empty, holds
+        # (-1)^(occupied positions before it) at column r ^ weight.
+        before = np.cumsum(self.occupation, axis=1) - self.occupation
+        signs = np.where(self.occupation == 0, 1.0 - 2.0 * (before % 2), 0.0)
+        self._lowering = [{int(w): signs[:, j]} for j, w in enumerate(self.weights)]
         self._spinors = {}  # (branch, mode index) -> normalized spinor, filled on first use
-
-    def _lowering_matrix(self, position: int):
-        """Jordan-Wigner annihilator as CSR: row r, with the position empty,
-        holds the one entry (-1)^(occupied positions before it) at column
-        r + weight, the state that differs from r by that bit alone."""
-        empty = self.occupation[:, position] == 0
-        rows = np.flatnonzero(empty)
-        signs = 1 - 2 * (self.occupation[rows, :position].sum(axis=1) % 2)
-        return sparse.csr_matrix(
-            (signs.astype(complex), rows + self.weights[position],
-             np.concatenate(([0], np.cumsum(empty)))),
-            shape=(self.dim, self.dim))
 
     @property
     def params(self) -> PhysicalParams:
@@ -230,16 +245,16 @@ class FockSpace:
         return FockOperator(self._lowering[self._position(species, index)], self)
 
     def creation(self, species: str, index: int) -> FockOperator:
-        return FockOperator(self._raising[self._position(species, index)], self)
+        return self.annihilation(species, index).dagger()
 
     def number(self, species: str, index: int) -> FockOperator:
         return self.creation(species, index) @ self.annihilation(species, index)
 
     def identity(self) -> FockOperator:
-        return FockOperator(sparse.identity(self.dim, dtype=complex, format="csr"), self)
+        return FockOperator({0: np.ones(self.dim)}, self)
 
     def zero(self) -> FockOperator:
-        return FockOperator(sparse.csr_matrix((self.dim, self.dim), dtype=complex), self)
+        return FockOperator({}, self)
 
     def vacuum(self) -> np.ndarray:
         state = np.zeros(self.dim, dtype=complex)
@@ -267,25 +282,6 @@ class FockSpace:
             self._spinors[key] = normalize(raw, branch)
         return self._spinors[key]
 
-    @functools.cached_property
-    def _field_pattern(self):
-        """CSR pattern of b_0, d_0', b_1, d_1', ...: the 2M operators of one
-        field component, as (column indices, row pointers, term number of
-        each stored entry, its +-1 value).
-
-        Column minus row is +2^j for b and -2^j for d', a different offset
-        for every term, so their supports are disjoint and each component of
-        the field is one data vector on this fixed pattern.  Plain arrays:
-        the pattern holds no reference back to the space.
-        """
-        n = self.n_modes
-        terms = [m for i in range(n) for m in (self._lowering[i], self._raising[n + i])]
-        # Disjoint supports: each stored entry of the sum is +-(term number + 1),
-        # kept as small integers since the space holds the pattern.
-        encoded = functools.reduce(operator.add, [(t + 1) * m.real for t, m in enumerate(terms)])
-        signed_term = encoded.data.astype(np.int8)
-        return encoded.indices, encoded.indptr, np.abs(signed_term) - 1, np.sign(signed_term)
-
 
 def build_space(modes: ModeSet) -> FockSpace:
     """Fix mode ordering and fermionic sign convention for a ModeSet."""
@@ -301,12 +297,12 @@ def verify_ccr(space: FockSpace) -> dict[tuple[str, str], float]:
     other anti-commutator vanishes.  Keys name the family by its two operator
     kinds, "b" or "d" by chain position with "+" for a creator: ("b", "b"),
     ("d", "d"), ("b", "d"), the same three with "+" on both, ("b", "d+"),
-    ("d", "b+"), ("b", "b+") and ("d", "d+").  All matrices involved are
+    ("d", "b+"), ("b", "b+") and ("d", "d+").  All entries involved are
     integer-valued, so deviations are exactly zero.
     """
     kinds = ["b"] * space.n_modes + ["d"] * space.n_modes  # by chain position
-    lowering = [FockOperator(m, space) for m in space._lowering]
-    raising = [FockOperator(m, space) for m in space._raising]
+    lowering = [FockOperator(terms, space) for terms in space._lowering]
+    raising = [op.dagger() for op in lowering]
     eye = space.identity()
     deviations = collections.defaultdict(list)
     for p, kind in enumerate(kinds):
@@ -358,8 +354,7 @@ def field_operator(space: FockSpace, r, t: float, time_derivative: bool = False)
     """
     x, y = r
     length = space.modes.box_side
-    upper = []  # coefficients of b_0, d_0', b_1, d_1', ... (space._field_pattern)
-    lower = []
+    upper, lower = space.zero(), space.zero()
     for i in range(space.n_modes):
         k = space.modes.momenta[i]
         w = space.modes.omega(i)
@@ -368,19 +363,11 @@ def field_operator(space: FockSpace, r, t: float, time_derivative: bool = False)
             phase *= -1j * w
         u = space.spinor(Branch.POSITIVE, i)
         v = space.spinor(Branch.NEGATIVE, i)
-        upper += [phase * u[0], phase * v[0]]
-        lower += [phase * u[1], phase * v[1]]
-    indices, indptr, term, value = space._field_pattern
-    components = []
-    for coefficients in (upper, lower):
-        # Copied, so that no result shares the pattern's index arrays.
-        matrix = sparse.csr_matrix((np.asarray(coefficients)[term] * value, indices, indptr),
-                                   shape=(space.dim, space.dim), copy=True)
-        # Entries of a zero coefficient (v = 0 at k = 0) are dropped, as a
-        # sum of CSR matrices drops them.
-        matrix.eliminate_zeros()
-        components.append(FockOperator(matrix, space))
-    return tuple(components)
+        b = space.annihilation(ELECTRON, i)
+        d_dag = space.creation(POSITRON, i)
+        upper = upper + (phase * u[0]) * b + (phase * v[0]) * d_dag
+        lower = lower + (phase * u[1]) * b + (phase * v[1]) * d_dag
+    return upper, lower
 
 
 @dataclass

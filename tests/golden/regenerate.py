@@ -37,7 +37,9 @@ Every other value, including every `evolve` value, the `spinor` determinants
 (LAPACK getrf) and the `fock` state norms (BLAS dot), stayed bit-identical
 under those kernels and with numpy's AVX-512 paths disabled.  With numpy's
 AVX2 paths disabled too, as on a CPU without AVX2, numpy's own sin, cos and
-exp loops round differently and the `evolve` reports do not reproduce.
+exp loops round differently and the `evolve` reports do not reproduce; nor do
+the `fock` field anti-commutator and field-integral values, since numpy's
+complex multiply fuses with FMA under AVX2 and rounds otherwise without it.
 
 A file is rewritten only when its stored report no longer matches a fresh
 run within those bounds (or it is missing), and deleted only when its argv

@@ -384,6 +384,16 @@ class TestFockReport:
         names = [c["name"] for c in json.loads(out)["checks"]]
         assert any("literal printed ordering" in n for n in names)
 
+    @pytest.mark.parametrize("n_modes", ["1", "2", "3", "4", "5", "6"])
+    @pytest.mark.parametrize("box", ["0.3", "0.5", "0.7", "1", "1.5", "3", repr(2 * np.pi)])
+    def test_small_boxes_pass(self, box, n_modes, capsys):
+        """Rounding checks are read in units of what they compare: the shift
+        H - H' by sum(hbar w), the field anti-commutators by their 1/L^2
+        scale.  A small box raises both, and the default modes pass down to
+        L = 0.3."""
+        code, _, _ = run_main(["fock", "--modes", n_modes, "--box", box], capsys)
+        assert code == 0
+
     @pytest.mark.parametrize("flags, products", [
         ("--modes 1", 70), ("--modes 2", 170), ("--modes 3", 269), ("--modes 4", 400),
         ("--modes 5", 563), ("--modes 6", 758), ("--modes 2 --literal-68", 173)])
@@ -762,8 +772,8 @@ class TestBlasThreads:
             assert tasks == 1
 
     def test_subcommands_load_one_openblas(self):
-        """Running a suite of every layer loads neither scipy.linalg nor
-        scipy.sparse.linalg, so only numpy's OpenBLAS is mapped."""
+        """Running a suite of every layer imports no scipy module, so only
+        numpy's OpenBLAS is mapped."""
         loaded = _fresh(
             "import contextlib, io, json, os, sys\n"
             "from planardirac import cli\n"
@@ -774,8 +784,8 @@ class TestBlasThreads:
             "maps = '/proc/self/maps'\n"
             "blas = (sorted({line.split()[-1] for line in open(maps) if 'openblas' in line})\n"
             "        if os.path.exists(maps) else None)\n"
-            "print(json.dumps([[m for m in ('scipy.linalg', 'scipy.sparse.linalg')\n"
-            "                   if m in sys.modules], blas]))")
+            "print(json.dumps([[m for m in sys.modules if m.split('.')[0] == 'scipy'],\n"
+            "                  blas]))")
         modules, blas = loaded
         assert modules == []
         if sys.platform.startswith("linux"):

@@ -1,5 +1,5 @@
 """Finite-mode second quantization: anti-commutators, spectra, field operators
-and the bosonic pair algebra, all on exact Jordan-Wigner matrices."""
+and the bosonic pair algebra, all on exact Jordan-Wigner operators."""
 
 import functools
 import gc
@@ -120,40 +120,97 @@ class TestOperatorBasics:
         """Every annihilator equals sigma_z^(x)j (x) |0><1| (x) I^(x)rest at
         chain position j, entry for entry."""
         space = fock.build_space(fock.default_symmetric_modes(n_modes))
-        zstr = sparse.csr_matrix(np.diag([1.0, -1.0]).astype(complex))
-        lower = sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-        eye = sparse.identity(2, dtype=complex, format="csr")
         for species, offset in ((ELECTRON, 0), (POSITRON, n_modes)):
             for i in range(n_modes):
-                j = offset + i
-                factors = [zstr] * j + [lower] + [eye] * (2 * n_modes - j - 1)
-                reference = functools.reduce(
-                    lambda a, b: sparse.kron(a, b, format="csr"), factors)
-                op = space.annihilation(species, i).matrix
+                reference = _lowering_reference(n_modes, offset + i)
+                op = _csr(space.annihilation(species, i))
                 assert op.nnz == reference.nnz == space.dim // 2
                 assert (op != reference).nnz == 0, (species, i)
 
     @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5, 6])
     def test_creation_is_the_adjoint_of_annihilation(self, n_modes):
-        """The cached creators equal the annihilators' adjoints entry for entry."""
+        """Each creator equals its annihilator's adjoint term for term, and
+        the conjugate transpose of the Kronecker reference entry for entry."""
         space = fock.build_space(fock.default_symmetric_modes(n_modes))
-        for species in (ELECTRON, POSITRON):
+        for species, offset in ((ELECTRON, 0), (POSITRON, n_modes)):
             for i in range(n_modes):
-                creator = space.creation(species, i).matrix
-                adjoint = space.annihilation(species, i).dagger().matrix
-                assert creator.nnz == adjoint.nnz
-                assert (creator != adjoint).nnz == 0, (species, i)
+                creator = space.creation(species, i)
+                assert _identical(creator, space.annihilation(species, i).dagger())
+                reference = _lowering_reference(n_modes, offset + i).conj().T
+                assert (_csr(creator) != reference).nnz == 0, (species, i)
 
-    def test_csr_storage_at_every_mode_count(self):
+    def test_each_mode_operator_is_one_term_at_its_chain_weight(self):
+        """An annihilator or creator flips the one basis-index bit of its
+        chain position: one term, at mask weights[position]."""
         for n_modes, index in ((1, 0), (5, 3)):
             space = fock.build_space(fock.default_symmetric_modes(n_modes))
             assert space.dim == 4**n_modes
-            creator = space.creation(ELECTRON, index)
-            for op in (space.annihilation(ELECTRON, index), creator,
-                       space.identity(), space.zero()):
-                assert op.matrix.format == "csr"
-            state = creator.apply(space.vacuum())
+            for species, position in ((ELECTRON, index), (POSITRON, n_modes + index)):
+                weight = int(space.weights[position])
+                for op in (space.annihilation(species, index), space.creation(species, index)):
+                    assert list(op.terms) == [weight]
+                    assert op.terms[weight].shape == (space.dim,)
+            assert list(space.identity().terms) == [0]
+            assert space.zero().terms == {}
+            state = space.creation(ELECTRON, index).apply(space.vacuum())
             assert np.linalg.norm(state) == 1.0
+
+
+def _dense(op):
+    """Dense matrix of an operator, entry by entry from O[r, r ^ m] = d[r]."""
+    out = np.zeros((op.space.dim, op.space.dim), dtype=complex)
+    for mask, entries in op.terms.items():
+        for row, value in enumerate(entries):
+            out[row, row ^ mask] += value
+    return out
+
+
+def _random_entries(rng, size, integer):
+    if integer:
+        return rng.integers(-3, 4, size) + 1j * rng.integers(-3, 4, size)
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
+def _random_operator(space, rng, integer):
+    """A diagonal term plus up to four random bit flips with random entries."""
+    masks = {0, *(int(m) for m in rng.integers(1, space.dim, size=4))}
+    return fock.FockOperator({m: _random_entries(rng, space.dim, integer) for m in masks}, space)
+
+
+class TestTermAlgebra:
+    @pytest.mark.parametrize("integer", [True, False], ids=["integer", "real"])
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    def test_operations_agree_with_dense_matrices(self, n_modes, integer):
+        """Every operation on bit-flip terms equals the same operation on
+        dense matrices: exactly for integer entries, within 1e-14 otherwise.
+        Eigenvalues are not integers and always get the 1e-14."""
+        rng = np.random.default_rng(7 + n_modes)
+        space = fock.build_space(fock.default_symmetric_modes(n_modes))
+        tolerance = 0.0 if integer else 1e-14
+
+        def agree(measured, expected, tolerance=tolerance):
+            expected = np.asarray(expected)
+            scale = max(1.0, float(np.abs(expected).max(initial=0.0)))
+            assert np.abs(np.asarray(measured) - expected).max(initial=0.0) <= tolerance * scale
+
+        a, b = _random_operator(space, rng, integer), _random_operator(space, rng, integer)
+        dense_a, dense_b = _dense(a), _dense(b)
+        scalar = _random_entries(rng, 1, integer)[0]
+        vec = _random_entries(rng, space.dim, integer)
+        agree(_dense(a + b), dense_a + dense_b)
+        agree(_dense(a - b), dense_a - dense_b)
+        agree(_dense(scalar * a), scalar * dense_a)
+        agree(_dense(a * scalar), dense_a * scalar)
+        agree(_dense(a @ b), dense_a @ dense_b)
+        agree(_dense(a.dagger()), dense_a.conj().T)
+        agree(a.apply(vec), dense_a @ vec)
+        agree(a.expectation(vec), np.vdot(vec, dense_a @ vec))
+        agree(a.diagonal(), np.diag(dense_a))
+        agree(_dense(a.off_diagonal()), dense_a - np.diag(np.diag(dense_a)))
+        agree(a.trace(), np.trace(dense_a))
+        agree(a.max_abs(), np.abs(dense_a).max())
+        agree((a + a.dagger()).eigenvalues(),
+              np.linalg.eigvalsh(dense_a + dense_a.conj().T), 1e-14)
 
 
 class TestAnticommutationRelations:
@@ -226,21 +283,28 @@ class TestHamiltonian:
         assert np.allclose(diag, sums, atol=1e-12)
 
     @pytest.mark.parametrize("n_modes, h, h_prime, from_field", [
-        (1, 2, 3, 2), (2, 10, 15, 60), (3, 52, 63, 507), (4, 186, 255, 3804),
-        (5, 884, 1023, 23515), (6, 3676, 4095, 137153)])
+        (1, 2, 3, 2), (2, 10, 15, 60), (3, 52, 63, 504), (4, 186, 255, 3827),
+        (5, 884, 1023, 23528), (6, 3676, 4095, 137203)])
     def test_stored_entries_do_not_grow(self, n_modes, h, h_prime, from_field):
-        """Upper bounds on the stored CSR entries of H, H' and the
+        """Upper bounds on the nonzero entries of H, H' and the
         field-integral H at the fock suite's default modes, at their measured
         values.  H' is diagonal with one zero, the vacuum: 4^M - 1 entries.
-        H = H' - sum(hbar w) I is diagonal too and stores its nonzero
-        energies: 2, 10, 52, 186, 884, 3676.  hamiltonian_from_field stores
-        2, 60, 507, 3804, 23515, 137153: besides the diagonal, the rounding
-        residue of cross terms that cancel in exact arithmetic, 37 times H's
-        count at M = 6.  A build that stores more shows here."""
+        H = H' - sum(hbar w) I is diagonal too, one term with its nonzero
+        energies: 2, 10, 52, 186, 884, 3676.  hamiltonian_from_field has
+        2, 60, 504, 3827, 23528, 137203 nonzero entries in 2, 7, 16, 29, 46,
+        67 terms: the diagonal plus one term per pair of the 2M chain
+        positions, since each field bilinear flips two of them.  Besides the
+        diagonal, its entries are the rounding residue of cross terms that
+        cancel in exact arithmetic, 37 times H's count at M = 6.  A build
+        that stores more shows here."""
         space = fock.build_space(fock.default_symmetric_modes(n_modes))
-        assert fock.hamiltonian(space).matrix.nnz <= h
-        assert fock.normal_ordered_hamiltonian(space).matrix.nnz <= h_prime
-        assert fock.hamiltonian_from_field(space).matrix.nnz <= from_field
+        from_field_terms = {1: 2, 2: 7, 3: 16, 4: 29, 5: 46, 6: 67}[n_modes]
+        for op, entries, terms in (
+                (fock.hamiltonian(space), h, 1),
+                (fock.normal_ordered_hamiltonian(space), h_prime, 1),
+                (fock.hamiltonian_from_field(space), from_field, from_field_terms)):
+            assert sum(np.count_nonzero(d) for d in op.terms.values()) <= entries
+            assert len(op.terms) <= terms
 
     @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5, 6])
     def test_enumeration_matches_diagonal(self, n_modes):
@@ -297,8 +361,29 @@ def _sum_references(space):
 
 
 def _identical(op, reference):
-    """Same stored entries with the same values (explicit zeros count)."""
-    return op.matrix.nnz == reference.matrix.nnz and (op.matrix != reference.matrix).nnz == 0
+    """Same terms with the same entries, bit for bit (zero entries count)."""
+    return op.terms.keys() == reference.terms.keys() and all(
+        np.array_equal(d, reference.terms[m]) for m, d in op.terms.items())
+
+
+def _csr(op):
+    """The operator as a CSR matrix of its nonzero entries."""
+    index = op.space.index
+    matrix = sparse.csr_matrix(
+        (np.concatenate(list(op.terms.values())),
+         (np.tile(index, len(op.terms)), np.concatenate([index ^ m for m in op.terms]))),
+        shape=(op.space.dim, op.space.dim))
+    matrix.eliminate_zeros()
+    return matrix
+
+
+def _lowering_reference(n_modes, position):
+    """sigma_z^(x)position (x) |0><1| (x) I^(x)rest over 2M chain positions."""
+    zstr = sparse.csr_matrix(np.diag([1.0, -1.0]).astype(complex))
+    lower = sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    eye = sparse.identity(2, dtype=complex, format="csr")
+    factors = [zstr] * position + [lower] + [eye] * (2 * n_modes - position - 1)
+    return functools.reduce(lambda a, b: sparse.kron(a, b, format="csr"), factors)
 
 
 class TestOneBuildSums:
@@ -362,8 +447,9 @@ class TestFieldOperator:
             fock.field_operator(space, (0.0, 0.0), 0.0)
 
     def test_space_is_freed_by_reference_counting(self):
-        """The field pattern a space keeps holds no reference back to it, so
-        the space dies at its last reference, without a garbage collection."""
+        """The annihilator terms a space keeps hold no reference back to it,
+        so the space dies at its last reference, without a garbage
+        collection."""
         freed = []
 
         class RecordedSpace(fock.FockSpace):
