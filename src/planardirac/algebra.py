@@ -57,13 +57,19 @@ def k_generator(index: int) -> Matrix2c:
     raise ValueError(f"generator index must be 1, 2 or 3, got {index!r}")
 
 
-# The two brackets serve any operands with @, + and -: Fock operators too.
+# The two brackets serve any operands with @, += and -=: Fock operators too.
+# Each accumulates into the fresh product a @ b, so at most two products are
+# alive at once; the operands are not written.
 def commutator(a: Matrix2c, b: Matrix2c) -> Matrix2c:
-    return a @ b - b @ a
+    out = a @ b
+    out -= b @ a
+    return out
 
 
 def anticommutator(a: Matrix2c, b: Matrix2c) -> Matrix2c:
-    return a @ b + b @ a
+    out = a @ b
+    out += b @ a
+    return out
 
 
 def pauli_components(h: Matrix2c) -> tuple[complex, np.ndarray]:

@@ -237,9 +237,11 @@ def run_fock(report: RunReport, args: argparse.Namespace) -> None:
     report.add(bound_check("kernel matches mode sum",
                            anticomm.max_kernel_mismatch * length**2, 1e-13))
 
+    # Relative to sum(hbar w), as H = H' - sum(hbar w) I is: the field
+    # integral rounds in energies of that size.
     report.add(bound_check(
         "H assembled from field integral",
-        (fock.hamiltonian_from_field(space) - ham).max_abs(), 1e-12))
+        (fock.hamiltonian_from_field(space) - ham).max_abs() / total_omega, 1e-12))
 
     vac = space.vacuum()
     for i in range(n_modes):

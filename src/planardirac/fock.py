@@ -110,14 +110,6 @@ def default_symmetric_modes(n_modes: int, box_side: float = 2.0 * np.pi,
     return ModeSet(_DEFAULT_INTEGER_MODES[n_modes], box_side, params)
 
 
-def _merged(terms):
-    """Sum (mask, entries) pairs that share a mask, in order."""
-    out = {}
-    for mask, entries in terms:
-        out[mask] = out[mask] + entries if mask in out else entries
-    return out
-
-
 @dataclass
 class FockOperator:
     """Operator on a FockSpace as a sum of bit-flip terms.
@@ -125,8 +117,14 @@ class FockOperator:
     ``terms[m]`` holds the entries d of the term that flips the basis-index
     bits m: O[r, r ^ m] = d[r].  A Jordan-Wigner operator is one term, and
     sums, products and adjoints of terms are terms again: a product of terms
-    a and b is the term a ^ b, and the diagonal is the term 0.  Entry arrays
-    are never written to after construction, so operators share them.
+    a and b is the term a ^ b, and the diagonal is the term 0.
+
+    Each operator owns its ``terms`` dict.  ``+=`` and ``-=`` merge the other
+    operator's terms into it: a mask it lacks takes the other's entry array
+    (negated for ``-=``), a mask it has is rebound to the sum.  Entry arrays
+    are rebound, never written to, so operators share them.  ``+``, ``-``
+    and ``@`` merge into a fresh dict by the same rule, so a sum accumulated
+    in place equals the chained sum bit for bit.
 
     Operators from different spaces refuse to combine; this catches mixed-up
     mode orderings before they silently corrupt a sign string.
@@ -142,12 +140,31 @@ class FockOperator:
             raise ValueError("cannot combine operators from different FockSpaces")
         return other
 
+    def _merge(self, mask, entries):
+        terms = self.terms
+        terms[mask] = terms[mask] + entries if mask in terms else entries
+
+    def __iadd__(self, other):
+        for mask, entries in self._coerce(other).terms.items():
+            self._merge(mask, entries)
+        return self
+
+    def __isub__(self, other):
+        # Term by term, as -1.0 * other would scale it: one negated term
+        # is alive at a time.
+        for mask, entries in self._coerce(other).terms.items():
+            self._merge(mask, entries * -1.0)
+        return self
+
     def __add__(self, other):
-        other = self._coerce(other)
-        return FockOperator(_merged([*self.terms.items(), *other.terms.items()]), self.space)
+        out = FockOperator(dict(self.terms), self.space)
+        out += other
+        return out
 
     def __sub__(self, other):
-        return self + -1.0 * self._coerce(other)
+        out = FockOperator(dict(self.terms), self.space)
+        out -= other
+        return out
 
     def __mul__(self, scalar):
         return FockOperator({m: d * scalar for m, d in self.terms.items()}, self.space)
@@ -157,9 +174,11 @@ class FockOperator:
     def __matmul__(self, other):
         other = self._coerce(other)
         index = self.space.index
-        return FockOperator(_merged((a ^ b, da * db[index ^ a])
-                                    for a, da in self.terms.items()
-                                    for b, db in other.terms.items()), self.space)
+        out = self.space.zero()
+        for a, da in self.terms.items():
+            for b, db in other.terms.items():
+                out._merge(a ^ b, da * db[index ^ a])
+        return out
 
     def dagger(self) -> "FockOperator":
         index = self.space.index
@@ -242,7 +261,7 @@ class FockSpace:
         return index if species == ELECTRON else self.n_modes + index
 
     def annihilation(self, species: str, index: int) -> FockOperator:
-        return FockOperator(self._lowering[self._position(species, index)], self)
+        return FockOperator(dict(self._lowering[self._position(species, index)]), self)
 
     def creation(self, species: str, index: int) -> FockOperator:
         return self.annihilation(species, index).dagger()
@@ -301,7 +320,7 @@ def verify_ccr(space: FockSpace) -> dict[tuple[str, str], float]:
     integer-valued, so deviations are exactly zero.
     """
     kinds = ["b"] * space.n_modes + ["d"] * space.n_modes  # by chain position
-    lowering = [FockOperator(terms, space) for terms in space._lowering]
+    lowering = [FockOperator(dict(terms), space) for terms in space._lowering]
     raising = [op.dagger() for op in lowering]
     eye = space.identity()
     deviations = collections.defaultdict(list)
@@ -365,8 +384,10 @@ def field_operator(space: FockSpace, r, t: float, time_derivative: bool = False)
         v = space.spinor(Branch.NEGATIVE, i)
         b = space.annihilation(ELECTRON, i)
         d_dag = space.creation(POSITRON, i)
-        upper = upper + (phase * u[0]) * b + (phase * v[0]) * d_dag
-        lower = lower + (phase * u[1]) * b + (phase * v[1]) * d_dag
+        upper += (phase * u[0]) * b
+        upper += (phase * v[0]) * d_dag
+        lower += (phase * u[1]) * b
+        lower += (phase * v[1]) * d_dag
     return upper, lower
 
 
@@ -401,10 +422,14 @@ def field_anticommutator(space: FockSpace, r, r_prime, t: float) -> FieldAnticom
     eye = space.identity()
     for a in range(2):
         for b in range(2):
+            # One anti-commutator is alive at a time: each is released
+            # before the next is built.
             ac = anticommutator(psi_r[a], bar_metric[b])
             scalar = ac.trace() / space.dim
             kernel[a, b] = scalar
-            max_scalar_dev = max(max_scalar_dev, (ac - scalar * eye).max_abs())
+            ac -= scalar * eye
+            max_scalar_dev = max(max_scalar_dev, ac.max_abs())
+            del ac
             max_plain_dev = max(max_plain_dev, anticommutator(psi_r[a], psi_rp[b]).max_abs())
 
     dx = r[0] - r_prime[0]
@@ -448,11 +473,9 @@ def hamiltonian_from_field(space: FockSpace) -> FockOperator:
             r = (ix * step, iy * step)
             psi = field_operator(space, r, 0.0)
             psi_dot = field_operator(space, r, 0.0, time_derivative=True)
-            integrand = (
-                psi[0].dagger() @ (1j * psi_dot[0])
-                - psi[1].dagger() @ (1j * psi_dot[1])
-            )
-            out = out + (hbar * area) * integrand
+            integrand = psi[0].dagger() @ (1j * psi_dot[0])
+            integrand -= psi[1].dagger() @ (1j * psi_dot[1])
+            out += (hbar * area) * integrand
     return out
 
 

@@ -385,12 +385,13 @@ class TestFockReport:
         assert any("literal printed ordering" in n for n in names)
 
     @pytest.mark.parametrize("n_modes", ["1", "2", "3", "4", "5", "6"])
-    @pytest.mark.parametrize("box", ["0.3", "0.5", "0.7", "1", "1.5", "3", repr(2 * np.pi)])
+    @pytest.mark.parametrize("box", ["0.2", "0.3", "0.5", "0.7", "1", "1.5", "3",
+                                     repr(2 * np.pi)])
     def test_small_boxes_pass(self, box, n_modes, capsys):
         """Rounding checks are read in units of what they compare: the shift
-        H - H' by sum(hbar w), the field anti-commutators by their 1/L^2
-        scale.  A small box raises both, and the default modes pass down to
-        L = 0.3."""
+        H - H' and the field-integral H by sum(hbar w), the field
+        anti-commutators by their 1/L^2 scale.  A small box raises both, and
+        the default modes pass down to L = 0.2."""
         code, _, _ = run_main(["fock", "--modes", n_modes, "--box", box], capsys)
         assert code == 0
 
