@@ -4,7 +4,10 @@ Subcommand ``<suite>`` runs ``run_<suite>(report, args)``, looked up at each cal
 the parser, built once per process and shared, alone declares each flag and
 its default.  ``main`` echoes every parsed flag into the report and times the suite.
 This module alone names every check and gives it its bound, a literal
-constant: the library layers return measurements.
+constant: the library layers return measurements.  Each suite imports the
+layer it runs when it runs: ``algebra`` and ``spinor`` load neither ``fock``
+nor ``nonrel``, ``fock`` does not load ``nonrel``, and no suite loads
+``numpy.random`` (``algebra`` draws its normals from Python's ``random``).
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 precondition error (a non-finite float flag, inputs whose arithmetic
@@ -21,6 +24,7 @@ import argparse
 import functools
 import math
 import os
+import random
 import sys
 import time
 import traceback
@@ -32,7 +36,7 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.envi
 
 import numpy as np
 
-from . import algebra, fock, nonrel, planewave
+from . import algebra, planewave
 from .planewave import (
     NATURAL_UNITS,
     Branch,
@@ -89,10 +93,14 @@ def run_algebra(report: RunReport, args: argparse.Namespace) -> None:
     # Operator symbol assembled from Pauli matrices vs from gamma matrices:
     # both spellings of the wave operator must agree for arbitrary derivative
     # placeholders.
-    rng = np.random.default_rng(args.seed)
+    gauss = random.Random(args.seed).gauss
+
+    def normal(*shape):
+        return np.array([gauss() for _ in range(math.prod(shape))]).reshape(shape)
+
     worst = 0.0
     for _ in range(10):
-        a0, a1, a2 = rng.normal(size=3) + 1j * rng.normal(size=3)
+        a0, a1, a2 = normal(3) + 1j * normal(3)
         pauli_form = (-1j * algebra.pauli(3) * a0
                       + algebra.pauli(1) * a1 + algebra.pauli(2) * a2
                       + algebra.IDENTITY2)
@@ -111,9 +119,9 @@ def run_algebra(report: RunReport, args: argparse.Namespace) -> None:
                + algebra.IDENTITY2).max(), 1e-13))
     unitarity = group = oracle = 0.0
     for _ in range(10):
-        draw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        draw = normal(2, 2) + 1j * normal(2, 2)
         h = draw + draw.conj().T
-        t1, t2 = rng.normal(size=2)
+        t1, t2 = normal(2)
         u = algebra.matrix_exponential(h, t1)
         unitarity = max(unitarity, float(np.abs(u @ u.conj().T - algebra.IDENTITY2).max()))
         group = max(group, float(np.abs(
@@ -192,6 +200,8 @@ _CCR_CHECKS = {
 
 
 def run_fock(report: RunReport, args: argparse.Namespace) -> None:
+    from . import fock
+
     n_modes = args.modes
     modes = fock.default_symmetric_modes(n_modes, args.box)
     space = fock.build_space(modes)
@@ -230,12 +240,15 @@ def run_fock(report: RunReport, args: argparse.Namespace) -> None:
     length = modes.box_side
     anticomm = fock.field_anticommutator(
         space, (0.15 * length, -0.2 * length), (0.4 * length, 0.1 * length), 0.3)
-    # Field anti-commutators scale as 1/L^2; each deviation is read in units of that scale.
+    # The kernel sums (|u|^2 + |v|^2)/L^2 over the modes, so the field
+    # anti-commutators round in units of that sum: each deviation is read in them.
+    kernel_scale = sum(float(np.sum(np.abs(space.spinor(branch, i)) ** 2))
+                       for i in range(n_modes) for branch in Branch) / length**2
     report.add(bound_check("{Psi,Psibar*metric} proportional to identity",
-                           anticomm.max_scalar_deviation * length**2, 1e-13))
-    report.add(bound_check("{Psi,Psi} = 0", anticomm.max_plain_deviation * length**2, 1e-13))
+                           anticomm.max_scalar_deviation / kernel_scale, 1e-13))
+    report.add(bound_check("{Psi,Psi} = 0", anticomm.max_plain_deviation / kernel_scale, 1e-13))
     report.add(bound_check("kernel matches mode sum",
-                           anticomm.max_kernel_mismatch * length**2, 1e-13))
+                           anticomm.max_kernel_mismatch / kernel_scale, 1e-13))
 
     # Relative to sum(hbar w), as H = H' - sum(hbar w) I is: the field
     # integral rounds in energies of that size.
@@ -299,6 +312,8 @@ def run_fock(report: RunReport, args: argparse.Namespace) -> None:
 
 
 def run_evolve(report: RunReport, args: argparse.Namespace) -> None:
+    from . import nonrel
+
     run = nonrel.run_limit_comparison(args.k0x, args.k0y, n=args.grid, t_final=args.time,
                                       sigma=args.sigma, box=args.box, steps=args.steps,
                                       keep_fields=args.out is not None)
@@ -368,6 +383,8 @@ def _add_solve_checks(report: RunReport, suffix: str, result: dict, expected: li
 
 
 def run_landau(report: RunReport, args: argparse.Namespace) -> None:
+    from . import nonrel
+
     params = NATURAL_UNITS
     grid = nonrel.Grid2D(args.grid, args.box)
     b_field = args.B

@@ -8,7 +8,7 @@ a change that moves a reported value must show as a diff of this corpus.
 Only values that pass through BLAS or LAPACK get a stated relative bound,
 because OpenBLAS picks its kernels by CPU.  Measured on one machine over
 OPENBLAS_CORETYPE settings from Katmai, Prescott and Core2 to Haswell, Zen,
-SkylakeX and SapphireRapids (18 for `spinor`, 20 for `landau`, 23 for
+SkylakeX and SapphireRapids (18 for `spinor`, 20 for `landau`, 24 for
 `algebra`):
 
 - the Landau solve, LAPACK syevd on each k_y block through numpy's
@@ -27,11 +27,13 @@ SkylakeX and SapphireRapids (18 for `spinor`, 20 for `landau`, 23 for
   moved by a sizeable fraction of themselves, since one ulp of an operand
   is comparable to the residual: bound 0.5.  The three matrix-exponential
   checks of `algebra` are such residuals, and the oracle of "matrix
-  exponential vs eigendecomposition" also runs LAPACK's 2x2 eigh.  Over 23
+  exponential vs eigendecomposition" also runs LAPACK's 2x2 eigh.  Over 24
   OPENBLAS_CORETYPE settings, Katmai to SapphireRapids and Opteron to Zen,
   each at the default thread count, 1 and 2 threads, that check read
-  1.355e-15 or, under Haswell and Zen, 1.422e-15 (a move of 0.049), and the
-  unitarity and group-property checks moved by up to 0.0046 and 0.061.
+  1.2658e-15 under every setting, and the unitarity and group-property
+  checks read 2.2372e-16 and 9.5020e-16 under the AVX-512 kernels
+  (SkylakeX, Cooperlake, SapphireRapids) and 2.2204e-16 and 9.5827e-16
+  under every other (moves of 0.0075 and 0.0085).
 
 Every other value, including every `evolve` value, the `spinor` determinants
 (LAPACK getrf) and the `fock` state norms (BLAS dot), stayed bit-identical

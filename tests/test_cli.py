@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import planardirac
-from planardirac import cli, fock, planewave
+from planardirac import cli, fock, nonrel, planewave
 from planardirac.reporting import Check, RunReport, failed_check, value_check
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -385,13 +385,14 @@ class TestFockReport:
         assert any("literal printed ordering" in n for n in names)
 
     @pytest.mark.parametrize("n_modes", ["1", "2", "3", "4", "5", "6"])
-    @pytest.mark.parametrize("box", ["0.2", "0.3", "0.5", "0.7", "1", "1.5", "3",
-                                     repr(2 * np.pi)])
+    @pytest.mark.parametrize("box", ["0.1", "0.15", "0.2", "0.3", "0.5", "0.7", "1", "1.5",
+                                     "3", repr(2 * np.pi)])
     def test_small_boxes_pass(self, box, n_modes, capsys):
         """Rounding checks are read in units of what they compare: the shift
         H - H' and the field-integral H by sum(hbar w), the field
-        anti-commutators by their 1/L^2 scale.  A small box raises both, and
-        the default modes pass down to L = 0.2."""
+        anti-commutators by their mode sum of (|u|^2 + |v|^2)/L^2, which
+        grows with the spinor norms as well as with 1/L^2.  A small box
+        raises both, and the default modes pass down to L = 0.1."""
         code, _, _ = run_main(["fock", "--modes", n_modes, "--box", box], capsys)
         assert code == 0
 
@@ -458,7 +459,6 @@ class TestLandauReport:
         """A potential eps x, odd under x -> -x, breaks the mirror: the run
         exits 1 on that named check without a traceback, its levels within
         bound (eps moves them at second order)."""
-        nonrel = cli.nonrel
         blocks = nonrel._landau_blocks
 
         def odd_under_mirror(b_field, grid, params, k_y):
@@ -479,7 +479,7 @@ class TestLandauReport:
         """Kept one magnetic length from the wall instead of sqrt(12), the
         outermost centres' levels are lifted by the wall, and the spread
         checks fail while the axis levels still pass."""
-        monkeypatch.setattr(cli.nonrel, "_wall_margin", lambda n_levels: 1.0)
+        monkeypatch.setattr(nonrel, "_wall_margin", lambda n_levels: 1.0)
         code, out, _ = run_main(["--json", "landau", "--grid", "32"], capsys)
         assert code == 1
         failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
@@ -523,8 +523,8 @@ class TestLandauReport:
         h = 20.0 / grid
         counts = []
         for n_levels in range(1, 80):
-            bottom = max(3.0, cli.nonrel._stencil_spacings(n_levels)) * h * (1.0 + 1e-9)
-            if bottom > 0.5 * (grid + 1) * h / cli.nonrel._wall_margin(n_levels):
+            bottom = max(3.0, nonrel._stencil_spacings(n_levels)) * h * (1.0 + 1e-9)
+            if bottom > 0.5 * (grid + 1) * h / nonrel._wall_margin(n_levels):
                 continue
             counts.append(n_levels)
             code, _, err = run_main(["landau", "--grid", str(grid), "--levels", str(n_levels),
@@ -538,14 +538,14 @@ class TestLandauReport:
         At grid 64, box 20, the default magnetic length 2 lies inside
         [5h, wall/sqrt(12)] = [1.5625, 2.93] but 2/sqrt(2) does not, so the
         report has no B-doubled check."""
-        monkeypatch.setattr(cli.nonrel, "MAGNETIC_LENGTH_SPACINGS", 5.0)
+        monkeypatch.setattr(nonrel, "MAGNETIC_LENGTH_SPACINGS", 5.0)
         code, out, _ = run_main(["--json", "landau", "--grid", "64"], capsys)
         assert code == 0
         names = [c["name"] for c in json.loads(out)["checks"]]
         assert len(names) == 7 and not any("B doubled" in name for name in names)
-        with pytest.raises(cli.nonrel.FieldWindowError, match=r"\[5h = 1.562,"):
-            cli.nonrel.landau_levels(0.5, cli.nonrel.Grid2D(64, 20.0))
-        monkeypatch.setattr(cli.nonrel, "_wall_margin", lambda n_levels: 6.0)
+        with pytest.raises(nonrel.FieldWindowError, match=r"\[5h = 1.562,"):
+            nonrel.landau_levels(0.5, nonrel.Grid2D(64, 20.0))
+        monkeypatch.setattr(nonrel, "_wall_margin", lambda n_levels: 6.0)
         code, _, err = run_main(["landau", "--grid", "64"], capsys)
         assert code == 2
         assert "magnetic length 2 outside [5h = 1.562, wall/sqrt(2*3+6) = 1.693]" in err
@@ -571,7 +571,7 @@ class TestLandauReport:
         length exactly 3h at grid 32, box 20, two levels: every run passes,
         and the report has B-doubled checks exactly where landau_levels(2B)
         is not refused by the window.  The sweep holds both cases."""
-        grid = cli.nonrel.Grid2D(32, 20.0)
+        grid = nonrel.Grid2D(32, 20.0)
         edge = 0.5 / (3.0 * grid.spacing) ** 2
         fields = [edge]
         for _ in range(3):
@@ -579,9 +579,9 @@ class TestLandauReport:
         seen = set()
         for b_field in fields:
             try:
-                cli.nonrel.landau_levels(2.0 * b_field, grid, n_levels=2)
+                nonrel.landau_levels(2.0 * b_field, grid, n_levels=2)
                 accepted = True
-            except cli.nonrel.FieldWindowError:
+            except nonrel.FieldWindowError:
                 accepted = False
             seen.add(accepted)
             code, out, _ = run_main(["--json", "landau", "--grid", "32", "--levels", "2",
@@ -600,8 +600,8 @@ class TestLandauReport:
         window = []
         for step in range(1, 100):
             try:
-                cli.nonrel.landau_levels(0.05 * step, cli.nonrel.Grid2D(grid, 20.0))
-            except cli.nonrel.FieldWindowError:
+                nonrel.landau_levels(0.05 * step, nonrel.Grid2D(grid, 20.0))
+            except nonrel.FieldWindowError:
                 continue
             window.append(step)
         assert len(window) == {32: 3, 64: 20, 128: 89}[grid]
@@ -820,3 +820,21 @@ class TestBlasThreads:
             "    planardirac.nosuch\n"
             "except AttributeError:\n"
             "    print(json.dumps('planardirac.planewave' in sys.modules))") is False
+
+
+class TestSuiteImports:
+    """Each suite imports only its own layer, and no CLI process loads
+    numpy.random: `algebra` draws its normals from Python's random."""
+
+    def test_each_suite_loads_only_its_layer(self):
+        loaded = _fresh(
+            "import contextlib, io, json, sys\n"
+            "from planardirac import cli\n"
+            "watched = ('numpy.random', 'planardirac.fock', 'planardirac.nonrel')\n"
+            "seen = []\n"
+            "for argv in (['algebra'], ['spinor', '--kx', '1'], ['fock', '--modes', '1']):\n"
+            "    with contextlib.redirect_stderr(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "    seen.append([m for m in watched if m in sys.modules])\n"
+            "print(json.dumps(seen))")
+        assert loaded == [[], [], ["planardirac.fock"]]
